@@ -1,18 +1,18 @@
-//! Criterion microbenchmarks for the simplex solver (substrate #2):
-//! scaling of the §2.2 path LP with coflow width (fat-tree k=4, the
-//! paper-scale k=8, and the scale-up k=16), a pure-LP transportation
-//! stress series (including transport/1000 and a candidate-pricing
-//! 4-thread A/B at transport/500), the dense-inverse baseline, a
+//! LP solver benchmark: the §2.2 path LP at the paper-scale fat-tree k=8
+//! and the scale-up k=16, a pure-LP transportation stress series
+//! (including transport/1000 and a 1-vs-4-thread A/B at transport/500), a
 //! warm-vs-cold grid-sequence comparison, and the
 //! delayed-column-generation vs eager-enumeration A/B.
 //!
-//! Besides the console report, the run writes a machine-readable snapshot
-//! to `results/BENCH_lp.json` (wall times + per-solve [`SolveStats`] with
-//! the pricing/FTRAN-BTRAN/factorization time breakdown), so factorization
+//! Run with `cargo bench -p coflow-bench --bench lp_bench [-- --quick]`.
+//! The run writes a machine-readable snapshot to `results/BENCH_lp.json`
+//! (wall times + per-solve [`SolveStats`] with the
+//! pricing/FTRAN-BTRAN/factorization time breakdown), so factorization
 //! behavior, the warm-start win, and the column-generation win are
-//! *measured* artifacts, not claims. Every point runs ≥ 3 samples and
-//! reports the median **and** the min; `--quick` /
-//! `COFLOW_BENCH_QUICK=1` drops from 7 to the 3-sample floor for CI runs.
+//! *measured* artifacts, not claims, plus a traced colgen run in
+//! `results/TRACE_lp.jsonl`. Every point runs ≥ 3 samples and reports the
+//! median **and** the min; `--quick` / `COFLOW_BENCH_QUICK=1` drops from 7
+//! to the 3-sample floor for CI runs.
 
 // Experiment binaries fail fast by design: unwrap/expect on I/O and
 // solver results is the intended error handling here.
@@ -26,14 +26,11 @@ use coflow_core::intervals::IntervalGrid;
 use coflow_core::model::Instance;
 use coflow_core::tol;
 use coflow_lp::{
-    solve_colgen, Backend, Cmp, ColGenStats, Model, Pricing, RowId, SolveStats, SolverOptions,
-    WarmChain,
+    solve_colgen, Cmp, ColGenStats, Model, RowId, SolveStats, SolverOptions, WarmChain,
 };
 use coflow_net::topo;
 use coflow_workloads::gen::generate;
 use coflow_workloads::suite::fig3_config;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use std::time::Instant;
 
 /// Transportation-style stress LP: `n` supplies, `n` demands, `n²`
@@ -142,89 +139,17 @@ fn production_opts() -> SolverOptions {
     }
 }
 
-/// The threaded configuration for the large points: candidate-list
-/// pricing (scattered list rescans most pivots, parallel sectioned
-/// window scans on refill) at a fixed four workers. Fixed rather than
+/// The threaded configuration for the large points: refill scans whose
+/// window reaches `PAR_SCAN_MIN_COLS` (4096 columns, i.e. `m >= 1024`
+/// rows) are sectioned across a fixed four workers. Fixed rather than
 /// detected so the recorded numbers are comparable across machines; the
 /// pivot sequence itself is thread-count invariant by construction.
 fn parallel_opts() -> SolverOptions {
     SolverOptions {
-        verify: false,
-        pricing: Pricing::Candidate,
         threads: 4,
-        ..Default::default()
+        ..production_opts()
     }
 }
-
-/// The historical solver configuration: explicit dense `B⁻¹`, full devex
-/// pricing, exact phase-1 costs — the baseline the sparse rewrite is
-/// measured against.
-fn dense_baseline_opts() -> SolverOptions {
-    SolverOptions {
-        backend: Backend::DenseInverse,
-        pricing: Pricing::Full,
-        phase1_jitter: 0.0,
-        verify: false,
-        ..Default::default()
-    }
-}
-
-fn bench_free_paths_lp(c: &mut Criterion) {
-    let mut g = c.benchmark_group("free_paths_lp");
-    g.sample_size(10);
-    let t4 = topo::fat_tree(4, 1.0);
-    for width in [2usize, 4, 8] {
-        let inst = generate(&t4, &fig3_config(width, 0));
-        g.bench_with_input(BenchmarkId::new("fat_tree_k4", width), &inst, |b, inst| {
-            b.iter(|| {
-                let lp = solve_free_paths_lp_paths(black_box(inst), &FreePathsLpConfig::default())
-                    .unwrap();
-                black_box(lp.base.objective)
-            })
-        });
-    }
-    // The paper-scale topology (k=8, 128 hosts): the point the ROADMAP
-    // calls LP-solve dominated.
-    let t8 = topo::fat_tree(8, 1.0);
-    for width in [2usize, 8] {
-        let inst = generate(&t8, &fig3_config(width, 0));
-        g.bench_with_input(BenchmarkId::new("fat_tree_k8", width), &inst, |b, inst| {
-            b.iter(|| {
-                let lp = solve_free_paths_lp_paths(black_box(inst), &FreePathsLpConfig::default())
-                    .unwrap();
-                black_box(lp.base.objective)
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_raw_simplex(c: &mut Criterion) {
-    let mut g = c.benchmark_group("raw_simplex");
-    g.sample_size(10);
-    for n in [20usize, 50, 100, 250, 500] {
-        if n >= 250 {
-            g.sample_size(3);
-        }
-        // Build the model once: the sample loop should time the solve, not
-        // the O(n²) topology generation.
-        let m = transport(n);
-        g.bench_with_input(BenchmarkId::new("transport", n), &m, |b, m| {
-            b.iter(|| {
-                black_box(
-                    m.solve_with(&production_opts())
-                        .map(|s| s.objective)
-                        .unwrap_or(f64::NAN),
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable snapshot: results/BENCH_lp.json
-// ---------------------------------------------------------------------------
 
 struct Point {
     name: String,
@@ -297,7 +222,7 @@ fn k8_instance() -> Instance {
     generate(&topo::fat_tree(8, 1.0), &fig3_config(8, 0))
 }
 
-fn bench_snapshot(_c: &mut Criterion) {
+fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var_os("COFLOW_BENCH_QUICK").is_some_and(|v| v != "0");
     // ≥ 3 samples even in quick mode: single-sample medians are noise.
@@ -333,10 +258,13 @@ fn bench_snapshot(_c: &mut Criterion) {
             });
         }
     }
-    // The same transport/500 model under the threaded candidate-pricing
-    // configuration: the pricing_ms delta against the serial "sparse-lu"
-    // point above is the headline parallel-pricing measurement (guarded
-    // against the committed baseline by `perf_gate`).
+    // The same transport/500 model at four threads. Its m = 1000 rows give
+    // a refill window of 4000 columns, under `PAR_SCAN_MIN_COLS` = 4096,
+    // so the scan never sections and the pivots and pricing work match the
+    // serial "sparse-lu" point above. `perf_gate`'s 2x pricing cut against
+    // the committed serial baseline therefore measures the candidate list
+    // alone; of the transport points only transport/1000 (m = 2000)
+    // sections its scans.
     {
         let m = transport(500);
         let (ms, ms_min, sol) = measure_with(samples, || m.solve_with(&parallel_opts()).unwrap());
@@ -361,21 +289,6 @@ fn bench_snapshot(_c: &mut Criterion) {
             wall_ms_min: ms_min,
             samples,
             stats: sol.stats,
-        });
-    }
-    // The dense-inverse baseline at the ROADMAP's reference point.
-    {
-        let m = transport(100);
-        let (ms, ms_min, stats) = measure_with(samples, || {
-            m.solve_with(&dense_baseline_opts()).unwrap().stats
-        });
-        points.push(Point {
-            name: "raw_simplex/transport/100".into(),
-            backend: "dense-inverse-baseline",
-            wall_ms_median: ms,
-            wall_ms_min: ms_min,
-            samples,
-            stats,
         });
     }
     // Paper-scale interval LP (fat-tree k=8, width 8), eager and colgen.
@@ -485,35 +398,6 @@ fn bench_snapshot(_c: &mut Criterion) {
         });
     }
 
-    // Warm vs cold across a *sweep* of distinct same-shape trial instances
-    // (the fig3/fig4 pattern). `coflow_bench::run_point` now defaults this
-    // chaining OFF (`WarmPolicy::Off`) because the measurement below is
-    // negative for independent instances; the block stays as the evidence.
-    let sweep: Vec<Instance> = (0..4)
-        .map(|trial| generate(&topo::fat_tree(4, 1.0), &fig3_config(4, trial)))
-        .collect();
-    let sweep_cfg = FreePathsLpConfig {
-        solver: production_opts(),
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let mut sweep_chain = WarmChain::new();
-    for inst in &sweep {
-        let grid = IntervalGrid::cover(sweep_cfg.eps, inst.horizon());
-        solve_free_paths_lp_paths_on_grid(inst, &sweep_cfg, grid, &mut sweep_chain).unwrap();
-    }
-    let sweep_warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let sweep_warm = sweep_chain.stats();
-    let t0 = Instant::now();
-    let mut sweep_cold_iters = 0usize;
-    for inst in &sweep {
-        let grid = IntervalGrid::cover(sweep_cfg.eps, inst.horizon());
-        let sol = solve_free_paths_lp_paths_on_grid(inst, &sweep_cfg, grid, &mut WarmChain::new())
-            .unwrap();
-        sweep_cold_iters += sol.base.iterations;
-    }
-    let sweep_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-
     // Warm vs cold on a growing grid sequence of the path LP.
     let inst = generate(&topo::fat_tree(4, 1.0), &fig3_config(4, 0));
     let cfg = FreePathsLpConfig {
@@ -541,16 +425,6 @@ fn bench_snapshot(_c: &mut Criterion) {
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Derived headline numbers.
-    let sparse100 = points
-        .iter()
-        .find(|p| p.name.ends_with("transport/100") && p.backend == "sparse-lu")
-        .unwrap()
-        .wall_ms_median;
-    let dense100 = points
-        .iter()
-        .find(|p| p.backend == "dense-inverse-baseline")
-        .unwrap()
-        .wall_ms_median;
     let serial500 = points
         .iter()
         .find(|p| p.name.ends_with("transport/500") && p.backend == "sparse-lu")
@@ -616,25 +490,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         cold_ms,
     ));
     json.push_str(&format!(
-        concat!(
-            "  \"sweep_warm_vs_cold\": {{\"sequence\":\"fig3 fat_tree_k4 width-4 trials x{}\",",
-            "\"warm_total_iterations\":{},\"cold_total_iterations\":{},",
-            "\"warm_used\":{},\"warm_wall_ms\":{:.3},\"cold_wall_ms\":{:.3}}},\n"
-        ),
-        sweep.len(),
-        sweep_warm.total_iterations,
-        sweep_cold_iters,
-        sweep_warm.warm_used,
-        sweep_warm_ms,
-        sweep_cold_ms,
-    ));
-    json.push_str(&format!(
-        concat!(
-            "  \"derived\": {{\"transport100_speedup_vs_dense_baseline\":{:.2},",
-            "\"transport500_pricing_speedup_candidate4t_vs_serial\":{:.2}}}\n}}\n"
-        ),
-        dense100 / sparse100,
-        pricing_speedup,
+        "  \"derived\": {{\"transport500_pricing_speedup_candidate4t_vs_serial\":{pricing_speedup:.2}}}\n}}\n"
     ));
 
     // Cargo runs benches with the package dir as CWD; anchor the artifact
@@ -686,17 +542,11 @@ fn bench_snapshot(_c: &mut Criterion) {
         );
     }
     println!(
-        "lp_snapshot: transport/100 sparse {sparse100:.1}ms vs dense baseline {dense100:.1}ms \
-         ({:.1}x); warm grid chain {} iters vs cold {}; warm trial sweep {} iters vs cold {} \
-         — results/BENCH_lp.json",
-        dense100 / sparse100,
-        warm_stats.total_iterations,
-        cold_iters,
-        sweep_warm.total_iterations,
-        sweep_cold_iters
+        "lp_snapshot: warm grid chain {} iters vs cold {} — results/BENCH_lp.json",
+        warm_stats.total_iterations, cold_iters,
     );
     println!(
-        "  parallel pricing transport/500: candidate/4t pricing {:.1}ms vs serial {:.1}ms \
+        "  transport/500 at 4 threads: pricing {:.1}ms vs serial {:.1}ms \
          ({pricing_speedup:.2}x), wall {:.1}ms vs {:.1}ms",
         par500.stats.pricing_ms,
         serial500.stats.pricing_ms,
@@ -757,11 +607,3 @@ fn bench_snapshot(_c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(
-    benches,
-    bench_free_paths_lp,
-    bench_raw_simplex,
-    bench_snapshot
-);
-criterion_main!(benches);

@@ -22,16 +22,19 @@
 //! Extracted series per schema:
 //! * `coflow-lp-bench/v2` — `points[].wall_ms_median` keyed by point
 //!   name plus backend (the same point is measured under several
-//!   backends), and `colgen_vs_eager[].colgen_wall_ms` keyed by name.
-//!   Additionally enforces (fresh file only, no baseline needed) that
-//!   the acceptance points `transport/500`, `fat_tree_k8`, and
+//!   configurations), and `colgen_vs_eager[].colgen_wall_ms` keyed by
+//!   name. Additionally enforces (fresh file only, no baseline needed)
+//!   that the acceptance points `transport/500`, `fat_tree_k8`, and
 //!   `fat_tree_k16` keep colgen at or below eager wall time
-//!   (`speedup >= 1.0`), and two cross-file parallel-pricing guards:
-//!   the fresh `transport/500[sparse-lu-parallel]` point must price at
-//!   least 2× faster than the *baseline* serial `transport/500`
-//!   `pricing_ms`, and the fresh
-//!   `fat_tree_k16/8[sparse-lu-colgen-parallel]` point must solve cold
-//!   in under one second.
+//!   (`speedup >= 1.0`), and two cross-file pricing guards: the fresh
+//!   `transport/500[sparse-lu-parallel]` point must price at least 2×
+//!   faster than the *baseline* serial `transport/500` `pricing_ms`, and
+//!   the fresh `fat_tree_k16/8[sparse-lu-colgen-parallel]` point must
+//!   solve cold in under one second. The 2× pricing cut is delivered by
+//!   the candidate list, not by threads: transport/500 has m = 1000 rows,
+//!   so its 4m = 4000-column refill window stays under the solver's
+//!   4096-column threshold for sectioned scans and runs serially at any
+//!   thread count.
 //! * `coflow-online-bench/v1` — `points[].policies[].total_resolve_ms`
 //!   keyed by `rate=<r>/<policy>`.
 //!
@@ -119,8 +122,8 @@ fn extract_series(doc: &Value) -> Vec<(String, f64)> {
             for p in arr(doc, "points") {
                 if let (Some(name), Some(ms)) = (text(p, "name"), num(p, "wall_ms_median")) {
                     // The same point name can appear under several
-                    // backends (sparse LU, dense baseline, colgen) —
-                    // the backend is part of the series identity.
+                    // configurations (serial, 4 threads, colgen) — the
+                    // `backend` tag is part of the series identity.
                     let backend = text(p, "backend").unwrap_or("default");
                     out.push((format!("{name}[{backend}]"), ms));
                 }
@@ -159,11 +162,12 @@ fn find_point<'a>(doc: &'a Value, name: &str, backend: &str) -> Option<&'a Value
     })
 }
 
-/// The parallel-pricing acceptance guards (LP artifacts only):
+/// The pricing acceptance guards (LP artifacts only):
 ///
-/// * the fresh candidate-list/4-thread `transport/500` point must cut
-///   `pricing_ms` at least 2× against the **baseline** serial
-///   `transport/500` point (the committed artifact), and
+/// * the fresh 4-thread `transport/500` point must cut `pricing_ms` at
+///   least 2× against the **baseline** serial `transport/500` point (the
+///   committed artifact) — a cut that comes from the candidate list
+///   alone, since transport/500's refill window never sections, and
 /// * the fresh fat-tree k=16 width-8 colgen point must solve cold in
 ///   under one second of wall clock.
 fn parallel_acceptance(baseline: &Value, fresh: &Value) -> Vec<String> {

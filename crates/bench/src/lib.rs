@@ -65,11 +65,6 @@ pub struct LpDiagnostics {
     pub fill_ratio: f64,
     /// LP solve wall time in milliseconds.
     pub solve_ms: f64,
-    /// Trials whose LP solve attempted a warm start (sum over trials when
-    /// aggregated).
-    pub warm_attempted: usize,
-    /// Trials whose warm basis was accepted.
-    pub warm_used: usize,
 }
 
 /// One experiment trial: run all four schemes on `instance`.
@@ -81,34 +76,13 @@ pub fn run_trial(
     lp_cfg: &FreePathsLpConfig,
     seed: u64,
 ) -> (Vec<TrialOutcome>, LpDiagnostics) {
-    run_trial_chained(instance, lp_cfg, seed, &mut WarmChain::new())
-}
-
-/// [`run_trial`] with the LP solve warm-started through `chain`.
-///
-/// Sweep drivers thread one chain per worker thread across consecutive
-/// trials (see [`run_point`]): trial instances of one figure point share
-/// topology and shape, so their LPs are structurally close enough for the
-/// previous optimal basis to be a useful start — the cross-instance
-/// counterpart of the growing-grid warm starts inside `coflow-core`. A
-/// rejected warm start silently degrades to the cold crash basis and
-/// changes nothing; an *accepted* one keeps the objective optimal but may
-/// land on a different optimal vertex than a cold solve would, so callers
-/// that promise reproducible artifacts must thread chains deterministically
-/// (see [`run_point`]).
-pub fn run_trial_chained(
-    instance: &Instance,
-    lp_cfg: &FreePathsLpConfig,
-    seed: u64,
-    chain: &mut WarmChain,
-) -> (Vec<TrialOutcome>, LpDiagnostics) {
     let sim_cfg = SimConfig::default();
     let mut outcomes = Vec::with_capacity(4);
 
     // --- LP-Based (§2.2 + §4.2 tweaks). ---
     let t0 = Instant::now();
     let grid = IntervalGrid::cover(lp_cfg.eps, instance.horizon());
-    let lp = solve_free_paths_lp_paths_on_grid(instance, lp_cfg, grid, chain)
+    let lp = solve_free_paths_lp_paths_on_grid(instance, lp_cfg, grid, &mut WarmChain::new())
         // lint: allow(no_panic) — harness crate: generated instances are always feasible
         .expect("free-paths LP must be feasible on valid instances");
     let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -138,8 +112,6 @@ pub fn run_trial_chained(
         refactorizations: lp.base.stats.refactorizations,
         fill_ratio: lp.base.stats.fill_ratio(),
         solve_ms,
-        warm_attempted: lp.base.stats.warm_attempted as usize,
-        warm_used: lp.base.stats.warm_used as usize,
     };
 
     // --- Heuristics (§4.3). ---
@@ -194,95 +166,18 @@ impl PointSummary {
     }
 }
 
-/// Whether a sweep's per-worker trial chunks attempt cross-instance warm
-/// starts (see [`run_point_with`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WarmPolicy {
-    /// Never attempt a warm start: the measured verdict for sweeps of
-    /// *independent* random instances (`sweep_warm_vs_cold` in
-    /// `results/BENCH_lp.json`) is that every cross-instance basis mapping
-    /// is rejected — identically-named variables describe different
-    /// candidate paths — so even the single rejected mapping per worker
-    /// the adaptive mode pays is pure waste. The default.
-    #[default]
-    Off,
-    /// Thread one [`WarmChain`] through each worker's chunk, adaptively:
-    /// stop attempting after the first rejected mapping. For sweeps whose
-    /// consecutive trials genuinely share structure.
-    Adaptive,
-}
-
-/// Runs `instances` as parallel trials of one figure point with the
-/// default [`WarmPolicy::Off`] (independent-instance semantics — every
-/// trial solves cold and `diag.warm_attempted` is asserted zero).
+/// Runs `instances` as parallel trials of one figure point. Trial `i` uses
+/// seed `1000 + i` and solves its LP cold, so the summary is independent
+/// of the thread count and of which worker ran which trial.
 pub fn run_point(
     label: &str,
     instances: &[Instance],
     lp_cfg: &FreePathsLpConfig,
     threads: usize,
 ) -> PointSummary {
-    run_point_with(label, instances, lp_cfg, threads, WarmPolicy::Off)
-}
-
-/// [`run_point`] with an explicit [`WarmPolicy`].
-///
-/// Trials are split into **contiguous chunks, one per worker**; under
-/// [`WarmPolicy::Adaptive`] each chunk threads one [`WarmChain`] through
-/// its trials in order, so consecutive same-shape LP solves can warm-start
-/// off each other (`diag.warm_used` counts how many trials accepted the
-/// basis). The chunking is static — not work-stealing — so which trials
-/// share a chain is a pure function of `(instances, threads)`: an accepted
-/// warm start may land the simplex on a different (equally optimal)
-/// vertex, and dynamic scheduling would make the produced CSVs depend on
-/// thread timing. Chaining is *adaptive*: once a chunk sees its warm basis
-/// rejected, it stops attempting and runs its remaining trials cold, so a
-/// non-transferring sweep pays for at most one rejected mapping per chunk.
-/// [`WarmPolicy::Off`] skips even that, running every trial cold.
-pub fn run_point_with(
-    label: &str,
-    instances: &[Instance],
-    lp_cfg: &FreePathsLpConfig,
-    threads: usize,
-    warm: WarmPolicy,
-) -> PointSummary {
-    let workers = threads.max(1).min(instances.len().max(1));
-    let per_chunk = chunk_len(instances.len(), workers);
-    let chunks: Vec<(usize, &[Instance])> = instances
-        .chunks(per_chunk)
-        .enumerate()
-        .map(|(c, chunk)| (c * per_chunk, chunk))
-        .collect();
-    let results: Vec<(Vec<TrialOutcome>, LpDiagnostics)> =
-        run_parallel(&chunks, workers, |_, &(start, chunk)| {
-            let mut chain = WarmChain::new();
-            let mut gave_up = false;
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(k, inst)| {
-                    let seed = 1000 + (start + k) as u64;
-                    if warm == WarmPolicy::Off {
-                        let out = run_trial(inst, lp_cfg, seed);
-                        assert_eq!(
-                            out.1.warm_attempted, 0,
-                            "WarmPolicy::Off trials must never attempt a warm start"
-                        );
-                        return out;
-                    }
-                    if gave_up {
-                        chain.reset();
-                    }
-                    let out = run_trial_chained(inst, lp_cfg, seed, &mut chain);
-                    if out.1.warm_attempted > out.1.warm_used {
-                        gave_up = true;
-                    }
-                    out
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+    let results = run_parallel(instances, threads, |i, inst| {
+        run_trial(inst, lp_cfg, 1000 + i as u64)
+    });
 
     let trials = results.len();
     let mut schemes = Vec::new();
@@ -317,9 +212,6 @@ pub fn run_point_with(
             / trials,
         fill_ratio: results.iter().map(|(_, d)| d.fill_ratio).sum::<f64>() / trials as f64,
         solve_ms: results.iter().map(|(_, d)| d.solve_ms).sum::<f64>() / trials as f64,
-        // Counts, not means: how many of the point's trials warm-started.
-        warm_attempted: results.iter().map(|(_, d)| d.warm_attempted).sum(),
-        warm_used: results.iter().map(|(_, d)| d.warm_used).sum(),
     };
     PointSummary {
         label: label.to_string(),
@@ -332,13 +224,6 @@ pub fn run_point_with(
 // The worker pool lives in `coflow_lp::par` (the solver's own parallel
 // pricing uses it); the harness re-exports it for the figure binaries.
 pub use coflow_lp::par::{run_parallel, run_parallel_with};
-
-/// Contiguous-chunk length for splitting `n` trials across `workers`
-/// (callers guarantee `workers >= 1`): `ceil(n / workers)`, floored at 1
-/// so `chunks(per_chunk)` is well-defined even for an empty sweep.
-pub fn chunk_len(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers).max(1)
-}
 
 /// Prints an aligned table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -525,73 +410,6 @@ mod tests {
         ));
     }
 
-    /// Chained trials must reproduce unchained results (warm starts are a
-    /// speed lever, never a result change) while actually warm-starting.
-    #[test]
-    fn chained_trials_match_cold_and_warm_start() {
-        let instances: Vec<Instance> = (0..3).map(small_instance).collect();
-        let lp_cfg = FreePathsLpConfig::default();
-        let mut chain = WarmChain::new();
-        let mut attempted = 0;
-        for (i, inst) in instances.iter().enumerate() {
-            let (warm_outs, warm_diag) =
-                run_trial_chained(inst, &lp_cfg, 1000 + i as u64, &mut chain);
-            let (cold_outs, cold_diag) = run_trial(inst, &lp_cfg, 1000 + i as u64);
-            assert!(
-                tol::rel_eq(
-                    warm_diag.lp_objective,
-                    cold_diag.lp_objective,
-                    tol::OBJ_REL_EPS
-                ),
-                "trial {i}: warm obj {} vs cold {}",
-                warm_diag.lp_objective,
-                cold_diag.lp_objective
-            );
-            for (w, c) in warm_outs.iter().zip(&cold_outs) {
-                assert_eq!(w.scheme, c.scheme);
-                assert!(
-                    tol::rel_eq(w.avg_completion, c.avg_completion, tol::OBJ_REL_EPS),
-                    "{}: warm {} vs cold {}",
-                    w.scheme,
-                    w.avg_completion,
-                    c.avg_completion
-                );
-            }
-            attempted += warm_diag.warm_attempted;
-            assert_eq!(cold_diag.warm_attempted, 0);
-        }
-        assert_eq!(attempted, 2, "every trial after the first attempts warm");
-    }
-
-    /// The default sweep policy runs every trial cold: no warm start is
-    /// ever attempted (independent instances never transfer a basis, so
-    /// even one rejected mapping per worker is waste).
-    #[test]
-    fn warm_policy_off_never_attempts() {
-        let instances: Vec<Instance> = (0..3).map(small_instance).collect();
-        let p = run_point("off", &instances, &FreePathsLpConfig::default(), 2);
-        assert_eq!(p.diag.warm_attempted, 0);
-        assert_eq!(p.diag.warm_used, 0);
-        assert_eq!(p.trials, 3);
-    }
-
-    /// The adaptive policy still threads chains for sweeps that want it.
-    #[test]
-    fn warm_policy_adaptive_attempts_within_chunks() {
-        let instances: Vec<Instance> = (0..3).map(small_instance).collect();
-        let p = run_point_with(
-            "adaptive",
-            &instances,
-            &FreePathsLpConfig::default(),
-            1,
-            WarmPolicy::Adaptive,
-        );
-        assert!(
-            p.diag.warm_attempted >= 1,
-            "one chunk must attempt at least once"
-        );
-    }
-
     #[test]
     fn parallel_with_threads_state_through_workers() {
         let items: Vec<usize> = (0..9).collect();
@@ -623,28 +441,6 @@ mod tests {
             x * 2
         });
         assert_eq!(out, (0..17).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    /// Every item lands in exactly one chunk, chunk count never exceeds
-    /// the worker count, and degenerate shapes (empty sweep, more workers
-    /// than items) stay well-defined.
-    #[test]
-    fn chunk_len_partitions_exactly() {
-        for n in [0usize, 1, 2, 5, 16, 17, 100] {
-            for workers in [1usize, 2, 3, 4, 8] {
-                let per = chunk_len(n, workers);
-                assert!(per >= 1);
-                let chunks = n.div_ceil(per);
-                assert!(
-                    chunks <= workers,
-                    "n={n} workers={workers}: {chunks} chunks"
-                );
-                let covered: usize = (0..chunks).map(|c| per.min(n - c * per)).sum();
-                assert_eq!(covered, n, "n={n} workers={workers}");
-            }
-        }
-        assert_eq!(chunk_len(0, 4), 1, "empty sweep yields empty chunk iter");
-        assert_eq!(chunk_len(10, 3), 4);
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub struct SolveStats {
     pub phase1_iterations: usize,
     /// Basis (re)factorizations performed, including the initial one.
     pub refactorizations: usize,
-    /// Nonzeros of the last basis factorization (L + U for the sparse
-    /// backend, `m²` for the dense-inverse backend).
+    /// Nonzeros of the last basis factorization (L + U).
     pub factor_nnz: usize,
     /// Nonzeros of the basis matrix itself at the last factorization
     /// (`factor_nnz / basis_nnz` is the fill-in ratio).
@@ -140,9 +139,7 @@ pub struct SolveStats {
     /// sections when [`SolverOptions::threads`](crate::SolverOptions) >
     /// 1): the expensive pivots candidate-list pricing tries to avoid.
     pub pricing_full_scans: usize,
-    /// Pivots priced without scanning every column: served from the
-    /// candidate list ([`Pricing::Candidate`](crate::Pricing)) or from an
-    /// early-stopping window ([`Pricing::Partial`](crate::Pricing)).
+    /// Pivots priced from the candidate list, without a refill scan.
     pub pricing_list_hits: usize,
     /// Worker threads the solve ran with (`SolverOptions::threads`,
     /// clamped to at least 1). Purely informational: results are byte

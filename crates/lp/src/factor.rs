@@ -1,4 +1,4 @@
-//! The basis-factorization abstraction behind the revised simplex.
+//! The basis factorization behind the revised simplex.
 //!
 //! The pivot loop in [`crate::simplex`] only ever needs four linear-algebra
 //! operations on the basis matrix `B`:
@@ -8,237 +8,25 @@
 //! * `update` — rank-one replacement of one basis column after a pivot;
 //! * `refactor` — rebuild from the current basis columns.
 //!
-//! [`Factorization`] captures exactly that contract, so the engine is
-//! generic over the representation: [`DenseInverse`] keeps an explicit
-//! `m×m` basis inverse with Gauss–Jordan refactorization (the historical
-//! implementation, kept as a measurable baseline and a cross-check), and
-//! [`SparseLuFactor`] wraps the sparse Markowitz LU + eta file from
-//! [`crate::sparse_lu`] (the production default).
+//! [`SparseLuFactor`] provides exactly those over the sparse Markowitz LU +
+//! eta file from [`crate::sparse_lu`], and adds the refactorization policy.
 
 use crate::model::{LpError, SolverOptions};
-use crate::nonzero;
-use crate::scratch::{prep, Counters, Scratch};
+use crate::scratch::Counters;
 use crate::sparse_lu::{LuFactors, SparseCol};
 
-/// Linear-algebra contract of a basis representation.
-pub(crate) trait Factorization {
-    /// Rebuilds the representation from the basis columns (`cols.len() == m`),
-    /// counting workspace acquisitions in `cnt`.
-    fn refactor(&mut self, m: usize, cols: &[SparseCol], cnt: &mut Counters)
-        -> Result<(), LpError>;
-    /// Moves any state persisted across solves (e.g. retained LU storage)
-    /// out of the scratch and into this factorization.
-    fn take_from(&mut self, _scratch: &mut Scratch) {}
-    /// Returns persisted state to the scratch for the next solve.
-    fn store_into(self, _scratch: &mut Scratch)
-    where
-        Self: Sized,
-    {
-    }
-    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis position).
-    fn ftran(&mut self, x: &mut [f64]);
-    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by row).
-    fn btran(&mut self, x: &mut [f64]);
-    /// Writes row `r` of `B⁻¹` into `out` (length `m`).
-    fn binv_row(&mut self, r: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        out[r] = 1.0;
-        self.btran(out);
-    }
-    /// Replaces basis position `r_leave`; `w` is the FTRAN image of the
-    /// entering column. `Err` means "refactorize now".
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError>;
-    /// Whether the engine should refactorize given pivots since the last one.
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool;
-    /// Nonzeros in the current factors (fill-in accounting).
-    fn factor_nnz(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// Dense explicit inverse (baseline).
-// ---------------------------------------------------------------------------
-
-/// Explicit dense `B⁻¹`, column-major (`binv[c*m + r] = B⁻¹[r][c]`), with
-/// Gauss–Jordan refactorization and `O(m²)` product-form pivot updates.
-#[derive(Default)]
-pub(crate) struct DenseInverse {
-    m: usize,
-    binv: Vec<f64>,
-    scratch: Vec<f64>,
-    nz: Vec<(usize, f64)>,
-    bmat: Vec<f64>,
-    inv: Vec<f64>,
-}
-
-impl Factorization for DenseInverse {
-    fn refactor(
-        &mut self,
-        m: usize,
-        cols: &[SparseCol],
-        cnt: &mut Counters,
-    ) -> Result<(), LpError> {
-        self.m = m;
-        prep(cnt, &mut self.binv, m * m, 0.0);
-        prep(cnt, &mut self.scratch, m, 0.0);
-        if m == 0 {
-            return Ok(());
-        }
-        // Dense B, row-major for cache-friendly row elimination.
-        prep(cnt, &mut self.bmat, m * m, 0.0);
-        let bmat = &mut self.bmat;
-        for (k, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
-                bmat[r as usize * m + k] = v;
-            }
-        }
-        prep(cnt, &mut self.inv, m * m, 0.0);
-        let inv = &mut self.inv;
-        for r in 0..m {
-            inv[r * m + r] = 1.0;
-        }
-        for k in 0..m {
-            // Partial pivot on column k.
-            let mut piv_row = k;
-            let mut piv_abs = bmat[k * m + k].abs();
-            for r in k + 1..m {
-                let a = bmat[r * m + k].abs();
-                if a > piv_abs {
-                    piv_abs = a;
-                    piv_row = r;
-                }
-            }
-            if piv_abs < 1e-12 {
-                return Err(LpError::Numerical(format!(
-                    "singular basis at column {k} (pivot {piv_abs:.3e})"
-                )));
-            }
-            if piv_row != k {
-                for c in 0..m {
-                    bmat.swap(k * m + c, piv_row * m + c);
-                    inv.swap(k * m + c, piv_row * m + c);
-                }
-            }
-            let piv = bmat[k * m + k];
-            let inv_piv = 1.0 / piv;
-            for c in 0..m {
-                bmat[k * m + c] *= inv_piv;
-                inv[k * m + c] *= inv_piv;
-            }
-            for r in 0..m {
-                if r == k {
-                    continue;
-                }
-                let f = bmat[r * m + k];
-                if !nonzero(f) {
-                    continue;
-                }
-                for c in 0..m {
-                    bmat[r * m + c] -= f * bmat[k * m + c];
-                    inv[r * m + c] -= f * inv[k * m + c];
-                }
-            }
-        }
-        // Transpose into the column-major layout.
-        for r in 0..m {
-            for c in 0..m {
-                self.binv[c * m + r] = inv[r * m + c];
-            }
-        }
-        Ok(())
-    }
-
-    fn ftran(&mut self, x: &mut [f64]) {
-        let m = self.m;
-        // Gather nonzeros of the (row-indexed) input first: entering
-        // columns and right-hand sides are sparse.
-        self.nz.clear();
-        for (r, &v) in x.iter().enumerate() {
-            if nonzero(v) {
-                self.nz.push((r, v));
-            }
-        }
-        let w = &mut self.scratch;
-        w.fill(0.0);
-        for &(r, v) in &self.nz {
-            let col = &self.binv[r * m..r * m + m];
-            for (wi, ci) in w.iter_mut().zip(col) {
-                *wi += v * ci;
-            }
-        }
-        x.copy_from_slice(w);
-    }
-
-    fn btran(&mut self, x: &mut [f64]) {
-        let m = self.m;
-        self.nz.clear();
-        for (r, &v) in x.iter().enumerate() {
-            if nonzero(v) {
-                self.nz.push((r, v));
-            }
-        }
-        let y = &mut self.scratch;
-        for (c, yc) in y.iter_mut().enumerate() {
-            let col = &self.binv[c * m..c * m + m];
-            let mut acc = 0.0;
-            for &(r, cv) in &self.nz {
-                acc += cv * col[r];
-            }
-            *yc = acc;
-        }
-        x.copy_from_slice(y);
-    }
-
-    fn binv_row(&mut self, r: usize, out: &mut [f64]) {
-        // Strided gather from the column-major layout.
-        let m = self.m;
-        for (c, rc) in out.iter_mut().enumerate() {
-            *rc = self.binv[c * m + r];
-        }
-    }
-
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
-        let m = self.m;
-        let piv = w[r_leave];
-        if piv.abs() < 1e-11 {
-            return Err(LpError::Numerical(format!(
-                "dense update pivot too small: {piv:.3e}"
-            )));
-        }
-        for c in 0..m {
-            let col = &mut self.binv[c * m..c * m + m];
-            let t = col[r_leave] / piv;
-            if !nonzero(t) {
-                continue;
-            }
-            for (ci, wi) in col.iter_mut().zip(w) {
-                *ci -= wi * t;
-            }
-            col[r_leave] = t;
-        }
-        Ok(())
-    }
-
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool {
-        since >= opts.refactor_every
-    }
-
-    fn factor_nnz(&self) -> usize {
-        self.m * self.m
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU + eta file (production default).
-// ---------------------------------------------------------------------------
-
 /// Sparse Markowitz LU with product-form updates ([`crate::sparse_lu`]).
+/// `lu` is `None` for an empty (`m == 0`) basis; between solves the
+/// factors are parked in [`crate::Scratch`] so their storage is reused.
 #[derive(Default)]
 pub(crate) struct SparseLuFactor {
-    lu: Option<LuFactors>,
+    pub(crate) lu: Option<LuFactors>,
 }
 
-impl Factorization for SparseLuFactor {
-    fn refactor(
+impl SparseLuFactor {
+    /// Rebuilds the factors from the basis columns (`cols.len() == m`),
+    /// counting workspace acquisitions in `cnt`.
+    pub(crate) fn refactor(
         &mut self,
         m: usize,
         cols: &[SparseCol],
@@ -254,34 +42,38 @@ impl Factorization for SparseLuFactor {
             .map_err(LpError::Numerical)
     }
 
-    fn take_from(&mut self, scratch: &mut Scratch) {
-        self.lu = scratch.lu.take();
-    }
-
-    fn store_into(self, scratch: &mut Scratch) {
-        scratch.lu = self.lu;
-    }
-
-    fn ftran(&mut self, x: &mut [f64]) {
+    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis position).
+    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
         if let Some(lu) = self.lu.as_mut() {
             lu.ftran(x);
         }
     }
 
-    fn btran(&mut self, x: &mut [f64]) {
+    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by row).
+    pub(crate) fn btran(&mut self, x: &mut [f64]) {
         if let Some(lu) = self.lu.as_mut() {
             lu.btran(x);
         }
     }
 
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
+    /// Writes row `r` of `B⁻¹` into `out` (length `m`).
+    pub(crate) fn binv_row(&mut self, r: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        out[r] = 1.0;
+        self.btran(out);
+    }
+
+    /// Replaces basis position `r_leave`; `w` is the FTRAN image of the
+    /// entering column. `Err` means "refactorize now".
+    pub(crate) fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
         match self.lu.as_mut() {
             Some(lu) => lu.update(r_leave, w).map_err(LpError::Numerical),
             None => Ok(()),
         }
     }
 
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool {
+    /// Whether the engine should refactorize given pivots since the last one.
+    pub(crate) fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool {
         let Some(lu) = self.lu.as_ref() else {
             return false;
         };
@@ -291,70 +83,85 @@ impl Factorization for SparseLuFactor {
         since >= opts.refactor_every.min(120) || lu.eta_nnz > 2 * lu.lu_nnz().max(500)
     }
 
-    fn factor_nnz(&self) -> usize {
+    /// Nonzeros in the current factors (fill-in accounting).
+    pub(crate) fn factor_nnz(&self) -> usize {
         self.lu.as_ref().map_or(0, |lu| lu.lu_nnz())
     }
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 
-    fn cols3() -> Vec<SparseCol> {
-        vec![
+    /// Dense `B` from sparse columns, row-major.
+    fn dense(m: usize, cols: &[SparseCol]) -> Vec<f64> {
+        let mut b = vec![0.0; m * m];
+        for (k, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                b[r as usize * m + k] = v;
+            }
+        }
+        b
+    }
+
+    fn assert_small(label: &str, got: &[f64], want: &[f64]) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-10, "{label}[{i}]: {g} != {w}");
+        }
+    }
+
+    /// Residual checks against the dense basis: `B·ftran(b) = b`,
+    /// `Bᵀ·btran(c) = c`, and `binv_row(r)·B = e_r`.
+    fn check_residuals(f: &mut SparseLuFactor, m: usize, cols: &[SparseCol]) {
+        let bm = dense(m, cols);
+        let b = [1.0, -2.0, 0.5];
+        let mut x = b;
+        f.ftran(&mut x);
+        let bx: Vec<f64> = (0..m)
+            .map(|r| (0..m).map(|k| bm[r * m + k] * x[k]).sum())
+            .collect();
+        assert_small("B·ftran(b)", &bx, &b);
+
+        let c = [0.5, 0.0, -1.5];
+        let mut y = c;
+        f.btran(&mut y);
+        let bty: Vec<f64> = (0..m)
+            .map(|k| (0..m).map(|r| bm[r * m + k] * y[r]).sum())
+            .collect();
+        assert_small("Bᵀ·btran(c)", &bty, &c);
+
+        for r in 0..m {
+            let mut row = [0.0; 3];
+            f.binv_row(r, &mut row);
+            let e: Vec<f64> = (0..m)
+                .map(|k| (0..m).map(|i| row[i] * bm[i * m + k]).sum())
+                .collect();
+            let mut want = [0.0; 3];
+            want[r] = 1.0;
+            assert_small(&format!("binv_row({r})·B"), &e, &want);
+        }
+    }
+
+    /// The sparse LU solves against its basis before and after a
+    /// product-form update.
+    #[test]
+    fn sparse_lu_residuals_before_and_after_update() {
+        let mut cols: Vec<SparseCol> = vec![
             vec![(0, 2.0), (1, 1.0)],
             vec![(1, 1.0), (2, 3.0)],
             vec![(0, 1.0), (2, 5.0)],
-        ]
-    }
-
-    /// Dense and sparse factorizations must agree on ftran/btran/binv_row
-    /// and on post-update solves.
-    #[test]
-    fn dense_and_sparse_agree() {
-        let cols = cols3();
+        ];
         let mut cnt = Counters::default();
-        let mut d = DenseInverse::default();
-        let mut s = SparseLuFactor::default();
-        d.refactor(3, &cols, &mut cnt).unwrap();
-        s.refactor(3, &cols, &mut cnt).unwrap();
+        let mut f = SparseLuFactor::default();
+        f.refactor(3, &cols, &mut cnt).unwrap();
+        check_residuals(&mut f, 3, &cols);
 
-        let b = [1.0, -2.0, 0.5];
-        let (mut xd, mut xs) = (b, b);
-        d.ftran(&mut xd);
-        s.ftran(&mut xs);
-        for (u, v) in xd.iter().zip(&xs) {
-            assert!((u - v).abs() < 1e-10);
-        }
-        let c = [0.5, 0.0, -1.5];
-        let (mut yd, mut ys) = (c, c);
-        d.btran(&mut yd);
-        s.btran(&mut ys);
-        for (u, v) in yd.iter().zip(&ys) {
-            assert!((u - v).abs() < 1e-10);
-        }
-        let (mut rd, mut rs) = ([0.0; 3], [0.0; 3]);
-        d.binv_row(1, &mut rd);
-        s.binv_row(1, &mut rs);
-        for (u, v) in rd.iter().zip(&rs) {
-            assert!((u - v).abs() < 1e-10);
-        }
-
-        // Update position 0 with a new column, then compare ftran again.
-        let a = [1.0f64, 1.0, 0.0];
-        let (mut wd, mut ws) = (a, a);
-        d.ftran(&mut wd);
-        s.ftran(&mut ws);
-        d.update(0, &wd).unwrap();
-        s.update(0, &ws).unwrap();
-        let b2 = [0.0, 1.0, 1.0];
-        let (mut xd, mut xs) = (b2, b2);
-        d.ftran(&mut xd);
-        s.ftran(&mut xs);
-        for (u, v) in xd.iter().zip(&xs) {
-            assert!((u - v).abs() < 1e-9);
-        }
+        // Replace basis position 0 with a new column.
+        let a: SparseCol = vec![(0, 1.0), (1, 1.0)];
+        let mut w = [1.0, 1.0, 0.0];
+        f.ftran(&mut w);
+        f.update(0, &w).unwrap();
+        cols[0] = a;
+        check_residuals(&mut f, 3, &cols);
     }
 }

@@ -8,17 +8,15 @@
 //!
 //! * [`Model`] — a builder for `min cᵀx  s.t.  Ax {<=,=,>=} b, l <= x <= u`
 //!   with sparse rows (duplicate terms merged at build time);
-//! * [`simplex`] — a **bounded-variable revised primal simplex**, generic
-//!   over the basis factorization, with devex pricing, a Harris ratio
-//!   test, a Bland's-rule anti-cycling fallback, a two-phase start, and
-//!   name-mapped **warm starts** for sequences of related LPs;
+//! * [`simplex`] — a **bounded-variable revised primal simplex** with
+//!   candidate-list devex pricing, a Harris ratio test, a Bland's-rule
+//!   anti-cycling fallback, a two-phase start, and name-mapped **warm
+//!   starts** for sequences of related LPs;
 //! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
-//!   (product-form) updates: the production basis representation;
-//! * [`backend`] — the [`LpBackend`] trait and the three selectable
-//!   implementations ([`Backend::Sparse`], [`Backend::DenseInverse`],
-//!   [`Backend::Reference`]);
+//!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex
-//!   used as a cross-checking oracle in tests (never in production paths);
+//!   used as a cross-checking oracle in tests (never in production paths),
+//!   reached through [`Model::solve_dense_reference`];
 //! * [`presolve`] — fixed-variable elimination, empty-row checks, and
 //!   singleton-row bound tightening;
 //! * [`par`] — std-only scoped-thread worker pools: the deterministic
@@ -60,7 +58,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod basis;
 pub mod colgen;
 pub mod dense;
@@ -73,13 +70,10 @@ pub mod scratch;
 pub mod simplex;
 pub(crate) mod sparse_lu;
 
-pub use backend::{backend_for, Backend, LpBackend};
 pub use basis::{Basis, ChainStats, SolveStats, WarmChain};
 pub use colgen::{solve_colgen, ColGenStats, ColumnPool};
 pub use fault::{ColgenFault, FaultHook};
-pub use model::{
-    Budget, Cmp, LpError, Model, Pricing, RowId, Solution, SolverOptions, Status, VarId,
-};
+pub use model::{Budget, Cmp, LpError, Model, RowId, Solution, SolverOptions, Status, VarId};
 pub use scratch::Scratch;
 
 /// Default feasibility / optimality tolerance.

@@ -1,9 +1,8 @@
 //! LP model builder and solution types.
 
-use crate::backend::{backend_for, Backend};
 use crate::basis::{Basis, SolveStats};
 use crate::nonzero;
-use crate::{dense, LP_TOL};
+use crate::{dense, presolve, simplex, LP_TOL};
 use std::fmt;
 
 /// Identifier of a decision variable (dense index into the model).
@@ -100,34 +99,6 @@ impl fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// Column-pricing strategy of the revised simplex.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Pricing {
-    /// Sectioned ("partial") devex: each iteration scans rotating windows
-    /// of roughly `4m` columns and stops at the first window containing an
-    /// eligible candidate; devex weights are maintained for the scanned
-    /// columns only. Cuts the per-iteration cost from `O(nnz(A))` to
-    /// `O(nnz(window))` on the wide coflow LPs (`n ≫ m`).
-    #[default]
-    Partial,
-    /// Classic full pricing: every iteration scans all columns and updates
-    /// all devex weights (the historical behavior, kept as a measurable
-    /// baseline and for pathological instances). The scan runs across
-    /// fixed column sections on [`SolverOptions::threads`] workers; the
-    /// winner (best devex score, ties to the lower column index) is
-    /// identical at any thread count.
-    Full,
-    /// Candidate-list pricing: a full scan (parallel across fixed column
-    /// sections, exact deterministic merge) refills a short list of the
-    /// best-scoring columns; subsequent pivots rescan only the list until
-    /// it runs dry. The cheapest mode on very wide LPs (`n ≫ m`) and the
-    /// one that scales with [`SolverOptions::threads`]; pivot sequences
-    /// are byte-identical at any thread count, but differ from
-    /// [`Pricing::Partial`]'s, so solves may return a different
-    /// equally-optimal vertex than the default mode.
-    Candidate,
-}
-
 /// Resource budget for a single solve (and, through
 /// [`solve_colgen`](crate::solve_colgen), a column-generation sequence).
 ///
@@ -187,10 +158,6 @@ pub struct SolverOptions {
     /// jitter breaks the ties while preserving the phase-1 optimum's
     /// defining property (zero infeasibility ⇔ all artificials at zero).
     pub phase1_jitter: f64,
-    /// Column-pricing strategy (see [`Pricing`]).
-    pub pricing: Pricing,
-    /// Which solver implementation to use (see [`Backend`]).
-    pub backend: Backend,
     /// Worker threads for the parallel pricing scan and the colgen
     /// oracle fan-out (clamped to at least 1). Results are **byte
     /// identical at any thread count** — the parallel reduction is a
@@ -222,8 +189,6 @@ impl Default for SolverOptions {
             verify: cfg!(debug_assertions),
             perturb: 0.0,
             phase1_jitter: 1e-7,
-            pricing: Pricing::default(),
-            backend: Backend::default(),
             threads: threads_from_env(),
             budget: Budget::default(),
         }
@@ -325,7 +290,7 @@ impl Model {
     /// Adds constraint `Σ terms {cmp} rhs`; returns the row id.
     ///
     /// Duplicate `(var, coef)` terms are **summed once here**, so presolve
-    /// and the solver backends never re-scan for duplicates: every stored
+    /// and the solvers never re-scan for duplicates: every stored
     /// row has unique variables and nonzero coefficients (terms whose sum
     /// cancels to zero are dropped entirely).
     ///
@@ -469,8 +434,7 @@ impl Model {
         self.solve_with(&SolverOptions::default())
     }
 
-    /// Solves with explicit options via the configured
-    /// [`Backend`](crate::Backend).
+    /// Solves with explicit options.
     pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, LpError> {
         let mut scratch = crate::scratch::Scratch::default();
         Ok(self.solve_inner(opts, None, false, &mut scratch)?.0)
@@ -527,8 +491,8 @@ impl Model {
         want_basis: bool,
         scratch: &mut crate::scratch::Scratch,
     ) -> Result<(Solution, Option<Basis>), LpError> {
-        let backend = backend_for(opts.backend);
-        let (sol, basis) = backend.solve_model(self, opts, warm, want_basis, scratch)?;
+        let pre = presolve::presolve(self)?;
+        let (sol, basis) = simplex::solve_presolved(self, &pre, opts, warm, want_basis, scratch)?;
         if opts.verify {
             // Feasibility and objective consistency hold for truncated
             // points too; only reduced-cost optimality would not.

@@ -160,9 +160,9 @@ pub(crate) struct CompleteBufs {
 /// Reusable workspace for repeated LP solves.
 ///
 /// One `Scratch` is owned by each [`WarmChain`](crate::WarmChain) and
-/// threaded through [`LpBackend::solve_model`](crate::LpBackend::solve_model)
-/// into the simplex and the sparse LU. It retains, across solves: the
-/// entire simplex [`State`] (CSC matrix, bounds, point, statuses, basis),
+/// threaded through [`Model`](crate::Model)'s solve methods into the
+/// simplex and the sparse LU. It retains, across solves: the entire
+/// simplex [`State`] (CSC matrix, bounds, point, statuses, basis),
 /// the per-phase pivot-loop vectors, assembly and warm-start temporaries,
 /// the basis-column gather pool, the rank-revealing completion workspace,
 /// and the sparse LU factors themselves (elimination storage, fill-in
@@ -188,8 +188,8 @@ pub struct Scratch {
     pub(crate) warm: WarmBufs,
     /// Warm-start basis-completion workspace.
     pub(crate) complete: CompleteBufs,
-    /// Sparse LU factors persisted between solves (the production
-    /// backend's elimination storage, workspace, and eta file).
+    /// Sparse LU factors persisted between solves (elimination storage,
+    /// workspace, and eta file).
     pub(crate) lu: Option<LuFactors>,
     /// Trace recorder: spans, time accumulators, counters, histograms.
     /// Lives here because the scratch is already threaded through every

@@ -164,7 +164,7 @@ proptest! {
 /// A degenerate sparse LP description: coefficients, costs, and right-hand
 /// sides drawn from tiny discrete sets, so reduced costs and ratio-test
 /// limits tie constantly — the regime where naive pivoting cycles or
-/// stalls, and where the sparse-LU backend must still match the oracle.
+/// stalls, and where the sparse-LU simplex must still match the oracle.
 #[derive(Debug, Clone)]
 struct DegenerateLp {
     n: usize,
@@ -228,7 +228,7 @@ fn build_degenerate(lp: &DegenerateLp) -> Model {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Degenerate sparse LPs: the production sparse-LU backend and the
+    /// Degenerate sparse LPs: the production sparse-LU simplex and the
     /// dense-tableau oracle must agree on classification and, when
     /// optimal, on the objective within `LP_TOL` scale.
     #[test]

@@ -1,16 +1,15 @@
-//! Thread-count invariance of the parallel pricing paths.
+//! Thread-count invariance of the parallel pricing path.
 //!
-//! The candidate-list refill scan and the full devex scan both cut large
-//! windows into fixed contiguous sections, one scoped worker per section,
-//! and merge the per-section bounded top lists under a total order on the
-//! candidate values. That merge is partition-invariant (every global
+//! The candidate-list refill scan cuts large windows into fixed contiguous
+//! sections, one scoped worker per section, and merges the per-section
+//! bounded top lists under a total order on the candidate values. That merge is partition-invariant (every global
 //! top-`K` element is in its own section's top-`K`), so the pivot
 //! sequence — and therefore every solver output — must be byte-identical
 //! at any `SolverOptions::threads`. These tests pin that contract: not
 //! "close objectives", but identical iteration counts, identical pricing
 //! counters, bit-identical objectives and primal values, and equal bases.
 
-use coflow_lp::{Basis, Cmp, Model, Pricing, Solution, SolverOptions};
+use coflow_lp::{Basis, Cmp, Model, Solution, SolverOptions};
 
 /// A degenerate transportation LP: `n x n` assignment-like structure with
 /// equality supplies and slack-bearing demand caps. Dual-degenerate enough
@@ -77,10 +76,9 @@ fn mixed(seed: u64, n: usize, rows: usize) -> Model {
     m
 }
 
-fn solve(m: &Model, pricing: Pricing, threads: usize) -> (Solution, Basis) {
+fn solve(m: &Model, threads: usize) -> (Solution, Basis) {
     let opts = SolverOptions {
         verify: false,
-        pricing,
         threads,
         ..Default::default()
     };
@@ -116,11 +114,11 @@ fn assert_identical(label: &str, a: &(Solution, Basis), b: &(Solution, Basis), t
 #[test]
 fn candidate_pricing_thread_invariant_on_transport() {
     let m = transport(24);
-    let base = solve(&m, Pricing::Candidate, 1);
+    let base = solve(&m, 1);
     assert!(base.0.stats.pricing_list_hits > 0, "list must serve pivots");
     assert_eq!(base.0.stats.threads, 1);
     for threads in [2, 4, 8] {
-        let sol = solve(&m, Pricing::Candidate, threads);
+        let sol = solve(&m, threads);
         assert_eq!(sol.0.stats.threads, threads, "threads stat must record");
         assert_identical("candidate/transport", &sol, &base, threads);
     }
@@ -132,43 +130,56 @@ fn candidate_pricing_thread_invariant_on_transport() {
 fn candidate_pricing_thread_invariant_on_mixed_lps() {
     for seed in 0..12u64 {
         let m = mixed(seed, 40, 18);
-        let base = solve(&m, Pricing::Candidate, 1);
+        let base = solve(&m, 1);
         for threads in [2, 4, 8] {
-            let sol = solve(&m, Pricing::Candidate, threads);
+            let sol = solve(&m, threads);
             assert_identical(&format!("candidate/mixed[{seed}]"), &sol, &base, threads);
         }
     }
 }
 
-/// Full pricing on an LP large enough (`nv >= 4096`) that the scan is
-/// genuinely cut into multiple worker sections: the sectioned merge must
-/// reproduce the serial scan bit-for-bit.
-#[test]
-fn full_pricing_sectioned_scan_matches_serial() {
-    let m = transport(70); // 4900 structural columns: sections engage
-    let base = solve(&m, Pricing::Full, 1);
-    for threads in [2, 4, 8] {
-        let sol = solve(&m, Pricing::Full, threads);
-        assert_identical("full/transport", &sol, &base, threads);
+/// A sparse LP with `2n` working rows, `2n·deg` columns, and two
+/// nonzeros per column: supply rows (equalities) each reach `deg`
+/// pseudo-randomly spread demand rows (capacity caps). Wide enough at
+/// `n = 512` for the refill window (`4m` columns) to reach
+/// `PAR_SCAN_MIN_COLS = 4096` and split into worker sections, yet cheap to
+/// solve because every column is a 2-nonzero network arc.
+fn sparse_transport(n: usize, deg: usize) -> Model {
+    let mut m = Model::new();
+    let supply: Vec<_> = (0..n)
+        .map(|i| m.add_row(Cmp::Eq, 1.0 + (i % 3) as f64, &[]))
+        .collect();
+    let demand: Vec<_> = (0..n).map(|_| m.add_row(Cmp::Le, 3.0, &[])).collect();
+    for (i, &s) in supply.iter().enumerate() {
+        for k in 0..deg {
+            let j = (i * 31 + k * 97 + k * k * 13) % n;
+            let cost = ((i * 7 + j * 13 + k) % 10) as f64 + 1.0;
+            m.add_column(
+                cost,
+                0.0,
+                f64::INFINITY,
+                format!("x{i}_{k}"),
+                &[(s, 1.0), (demand[j], 1.0)],
+            );
+        }
     }
+    m
 }
 
-/// The default partial pricing ignores `threads` by design (its windows
-/// are too small to amortize spawns): outputs are identical with the knob
-/// set, and candidate pricing agrees with it on the optimum.
+/// Candidate pricing on an LP with ≥ 1024 working rows, so the refill
+/// window covers ≥ 4096 columns and the scan is genuinely cut into
+/// multiple worker sections: the sectioned merge must reproduce the serial
+/// scan bit-for-bit.
 #[test]
-fn partial_pricing_unaffected_by_thread_knob() {
-    let m = transport(24);
-    let a = solve(&m, Pricing::Partial, 1);
-    let b = solve(&m, Pricing::Partial, 4);
-    assert_identical("partial/transport", &b, &a, 4);
-    let c = solve(&m, Pricing::Candidate, 4);
-    assert!(
-        (a.0.objective - c.0.objective).abs() <= 1e-6 * (1.0 + a.0.objective.abs()),
-        "partial {} vs candidate {}",
-        a.0.objective,
-        c.0.objective
-    );
+fn candidate_pricing_sectioned_refill_matches_serial() {
+    let m = sparse_transport(512, 8);
+    let base = solve(&m, 1);
+    assert!(base.0.stats.rows >= 1024, "rows {}", base.0.stats.rows);
+    assert!(base.0.stats.cols >= 4096, "cols {}", base.0.stats.cols);
+    for threads in [2, 4, 8] {
+        let sol = solve(&m, threads);
+        assert_identical("candidate/sectioned", &sol, &base, threads);
+    }
 }
 
 /// Under the logical clock the rendered trace depends only on the
@@ -184,7 +195,6 @@ fn logical_clock_traces_byte_identical_across_threads() {
         chain.obs().set_mode(coflow_obs::ClockMode::Logical);
         let opts = SolverOptions {
             verify: false,
-            pricing: Pricing::Candidate,
             threads,
             ..Default::default()
         };

@@ -40,7 +40,12 @@ fn pipeline_snapshot() -> String {
     out.push_str(&to_json(&instance).expect("instance serializes"));
     out.push('\n');
 
-    // 2. Offline LP solve + rounding.
+    // 2. Offline LP solve + rounding. The simplex's refill scans honor
+    // `SolverOptions::threads` (defaulted from `COFLOW_LP_THREADS`); the
+    // parallel sectioned merge is exact, so these bits must not move at
+    // any thread count. CI byte-diffs this whole snapshot between
+    // `COFLOW_LP_THREADS=1` and `=4` runs. (Deliberately no thread count
+    // in the output — only solver results belong in the snapshot.)
     let lp = solve_free_paths_lp_paths(&instance, &FreePathsLpConfig::default())
         .expect("generated instance is feasible");
     out.push_str("== lp ==\n");
@@ -63,27 +68,6 @@ fn pipeline_snapshot() -> String {
                 bits(seg.rate)
             ));
         }
-    }
-
-    // 2b. The same LP under candidate-list pricing, whose refill scans
-    // honor `SolverOptions::threads` (defaulted from `COFLOW_LP_THREADS`):
-    // the parallel sectioned merge is exact, so these bits must not move
-    // at any thread count. CI byte-diffs this whole snapshot between
-    // `COFLOW_LP_THREADS=1` and `=4` runs. (Deliberately no thread count
-    // in the output — only solver results belong in the snapshot.)
-    let cand_cfg = FreePathsLpConfig {
-        solver: coflow::lp::SolverOptions {
-            pricing: coflow::lp::Pricing::Candidate,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let cand = solve_free_paths_lp_paths(&instance, &cand_cfg)
-        .expect("generated instance is feasible under candidate pricing");
-    out.push_str("== lp candidate ==\n");
-    out.push_str(&format!("objective {}\n", bits(cand.base.objective)));
-    for (i, c) in cand.base.flow_completion.iter().enumerate() {
-        out.push_str(&format!("c[{i}] {}\n", bits(*c)));
     }
 
     // 3. Online engine epochs over the canonical arrival trace.
