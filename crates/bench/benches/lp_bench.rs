@@ -20,7 +20,7 @@
 
 use coflow_core::circuit::lp_free::{
     solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths,
-    solve_free_paths_lp_paths_on_grid, ColumnMode, FreePathsLpConfig, PathPool,
+    solve_free_paths_lp_paths_on_grid, FreePathsLpConfig, PathPool,
 };
 use coflow_core::intervals::IntervalGrid;
 use coflow_core::model::Instance;
@@ -308,21 +308,11 @@ fn main() {
             samples,
             stats: eager.base.stats,
         });
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..cfg
-        };
         let (cg_ms, cg_ms_min, (cg_lp, cg)) = measure_with(samples, || {
-            let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
+            let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
             let mut pool = PathPool::new();
-            solve_free_paths_lp_colgen_on_grid(
-                &inst,
-                &cfg_cg,
-                grid,
-                &mut WarmChain::new(),
-                &mut pool,
-            )
-            .unwrap()
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap()
         });
         points.push(Point {
             name: "free_paths_lp/fat_tree_k8/8".into(),
@@ -362,21 +352,11 @@ fn main() {
             samples,
             stats: eager.base.stats,
         });
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..cfg
-        };
         let (cg_ms, cg_ms_min, (cg_lp, cg)) = measure_with(samples, || {
-            let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
+            let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
             let mut pool = PathPool::new();
-            solve_free_paths_lp_colgen_on_grid(
-                &inst,
-                &cfg_cg,
-                grid,
-                &mut WarmChain::new(),
-                &mut pool,
-            )
-            .unwrap()
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap()
         });
         points.push(Point {
             name: "free_paths_lp/fat_tree_k16/8".into(),
@@ -508,7 +488,6 @@ fn main() {
         let inst = generate(&topo::fat_tree(16, 1.0), &fig3_config(8, 0));
         let cfg_cg = FreePathsLpConfig {
             solver: parallel_opts(),
-            columns: ColumnMode::delayed(),
             ..Default::default()
         };
         let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());

@@ -7,6 +7,11 @@
 //! outcome — §4.3 notes "the worst-case approximation ratio ... does not
 //! happen in practice".
 //!
+//! Every trial is also a check: the LP value is a lower bound on the
+//! optimum (Lemmas 4, 5 and 7), so `realized cost / LP lower bound` must be
+//! at least 1 (up to `1e-6` of float slack). Any trial of any model that
+//! falls below makes the binary exit non-zero, naming the model and trial.
+//!
 //! ```text
 //! cargo run --release -p coflow-bench --bin table1_ratios [--trials N]
 //! ```
@@ -25,6 +30,9 @@ use coflow_core::packet::free::{route_and_schedule, PacketFreeConfig};
 use coflow_core::packet::jobshop::{schedule_given_paths, PacketConfig};
 use coflow_net::{paths as netpaths, topo};
 use coflow_workloads::gen::{generate, generate_packets, GenConfig};
+
+/// Float slack of the `cost / LP lower bound >= 1` check.
+const RATIO_SLACK: f64 = 1e-6;
 
 struct Row {
     model: &'static str,
@@ -201,4 +209,31 @@ fn main() {
         .expect("csv write");
         println!("\nWrote {out}");
     }
+
+    let violations: Vec<String> = rows
+        .iter()
+        .flat_map(|r| {
+            r.ratios
+                .iter()
+                .enumerate()
+                .filter(|&(_, &ratio)| ratio < 1.0 - RATIO_SLACK)
+                .map(move |(trial, ratio)| {
+                    format!(
+                        "{} coflows, paths {}, trial {trial}: cost / LP lower bound = {ratio}",
+                        r.model, r.paths
+                    )
+                })
+        })
+        .collect();
+    if !violations.is_empty() {
+        eprintln!(
+            "lower-bound check FAILED: {} trial(s) cost less than their LP lower bound",
+            violations.len()
+        );
+        for v in &violations {
+            eprintln!("  {v}");
+        }
+        std::process::exit(1);
+    }
+    println!("\nlower-bound check OK: cost / LP lower bound >= 1 - {RATIO_SLACK:e} on every trial");
 }

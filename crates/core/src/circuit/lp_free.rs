@@ -1,22 +1,29 @@
 //! The interval-indexed LP for circuit coflows **without given paths**
 //! (§2.2, constraints (15)–(23)).
 //!
-//! Two interchangeable formulations are provided:
+//! Three builders are provided:
 //!
-//! * [`solve_free_paths_lp_edges`] — the paper's formulation: per flow,
+//! * [`solve_free_paths_lp_paths`] — the path formulation: variables
+//!   `x_{f,p,ℓ}` over an enumerated candidate path set per flow. On
+//!   fat-trees with all equal-cost shortest paths enumerated, every
+//!   edge-flow solution can be expressed over these columns (§4.3 of the
+//!   paper observes the decomposition returns one path per flow there), so
+//!   the restriction is lossless in the evaluation setting while being
+//!   dramatically smaller. A flow that carries a prescribed path gets that
+//!   path as its only candidate, which makes this builder the §2.1 LP as
+//!   well ([`crate::circuit::lp_given`]).
+//! * [`solve_free_paths_lp_colgen_on_grid`] — the same path LP solved by
+//!   delayed column generation: the master starts from one shortest path
+//!   per flow and prices further paths against its capacity duals, over
+//!   the same hop-bounded path space. A [`PathPool`] carries generated
+//!   paths across related solves. Used by the online engine's colgen mode.
+//! * [`solve_free_paths_lp_edges`] — the paper's own formulation: per flow,
 //!   interval and edge, a rate variable `x^e_{fℓ}` with flow-conservation
 //!   constraints (18)–(20) and shared capacity (21). Exact on any graph;
-//!   size `O(F·L·E)`, so intended for small/medium networks (and used as
-//!   the reference in tests).
-//! * [`solve_free_paths_lp_paths`] — a column (path-based) restriction of
-//!   the same polytope: variables `x_{f,p,ℓ}` over an enumerated candidate
-//!   path set. On fat-trees with all equal-cost shortest paths enumerated,
-//!   every edge-flow solution can be expressed over these columns (§4.3 of
-//!   the paper observes the decomposition returns one path per flow there),
-//!   so the restriction is lossless in the evaluation setting while being
-//!   dramatically smaller. Used by the experiment harness.
+//!   size `O(F·L·E)`, so kept as the reference the path LPs are tested
+//!   against.
 //!
-//! Both produce a [`FreeLpSolution`]: the completion-fraction view shared
+//! All produce a [`FreeLpSolution`]: the completion-fraction view shared
 //! with §2.1 plus per-flow fractional routing information consumed by the
 //! rounding step ([`crate::circuit::round_free`]).
 
@@ -28,38 +35,6 @@ use coflow_lp::{
     WarmChain,
 };
 use coflow_net::{paths as netpaths, pricing, EdgeId, Path};
-
-/// How the path formulation materializes its columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ColumnMode {
-    /// Enumerate the full candidate set up front
-    /// ([`coflow_net::paths::candidate_paths`]) — the historical behavior
-    /// and the cross-check oracle for the delayed mode.
-    #[default]
-    Eager,
-    /// Delayed column generation: seed the restricted master with each
-    /// flow's shortest path only and price further paths on demand against
-    /// the master's capacity-row duals (see
-    /// [`solve_free_paths_lp_colgen_on_grid`]).
-    Delayed {
-        /// Cap on restricted-master solve rounds (safety net; generation
-        /// normally converges in a handful of rounds).
-        max_rounds: usize,
-    },
-}
-
-impl ColumnMode {
-    /// Default pricing-round budget of [`ColumnMode::delayed`] (a safety
-    /// net far above observed round counts, which are single-digit).
-    pub const DEFAULT_MAX_ROUNDS: usize = 200;
-
-    /// The delayed mode with its default round budget.
-    pub fn delayed() -> Self {
-        ColumnMode::Delayed {
-            max_rounds: Self::DEFAULT_MAX_ROUNDS,
-        }
-    }
-}
 
 /// A persistent pool of generated candidate paths, grouped by flat flow
 /// index. Threading one pool through a sequence of related solves (growing
@@ -79,12 +54,6 @@ pub struct FreePathsLpConfig {
     pub path_slack: usize,
     /// For the path formulation: cap on candidate paths per flow.
     pub max_paths: usize,
-    /// Column strategy of the path formulation (eager enumeration vs
-    /// delayed generation). The delayed mode prices over the same
-    /// hop-bounded path space (`shortest + path_slack`), so the two modes
-    /// optimize the same polytope whenever the eager enumeration is
-    /// complete (its `max_paths` cap not hit).
-    pub columns: ColumnMode,
     /// Simplex options.
     pub solver: SolverOptions,
 }
@@ -95,7 +64,6 @@ impl Default for FreePathsLpConfig {
             eps: crate::FREE_PATHS_EPS,
             path_slack: 0,
             max_paths: 32,
-            columns: ColumnMode::default(),
             solver: SolverOptions::default(),
         }
     }
@@ -162,7 +130,7 @@ pub fn solve_free_paths_lp_edges_on_grid(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )
@@ -324,7 +292,8 @@ pub fn solve_free_paths_lp_edges_on_grid(
     })
 }
 
-/// Solves the path-based column restriction of (15)–(23).
+/// Solves the path-based column restriction of (15)–(23). A flow with a
+/// prescribed path gets that path as its only candidate.
 ///
 /// # Panics
 /// If some flow has no path between its endpoints under the enumeration
@@ -344,22 +313,12 @@ pub fn solve_free_paths_lp_paths(
 /// larger horizon keeps the smaller grid's boundaries as a prefix), so
 /// threading one [`WarmChain`] through a growing sequence reuses each
 /// optimal basis instead of cold-starting every solve.
-///
-/// With [`ColumnMode::Delayed`] the solve runs through
-/// [`solve_free_paths_lp_colgen_on_grid`] with a solve-local [`PathPool`];
-/// sequences that want cross-solve column reuse call the pooled entry point
-/// directly.
 pub fn solve_free_paths_lp_paths_on_grid(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
     grid: IntervalGrid,
     chain: &mut WarmChain,
 ) -> Result<FreeLpSolution, LpError> {
-    if let ColumnMode::Delayed { .. } = cfg.columns {
-        let mut pool = PathPool::new();
-        return solve_free_paths_lp_colgen_on_grid(instance, cfg, grid, chain, &mut pool)
-            .map(|(sol, _)| sol);
-    }
     let nl = grid.count();
     let nf = instance.flow_count();
     let g = &instance.graph;
@@ -372,7 +331,7 @@ pub fn solve_free_paths_lp_paths_on_grid(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )
@@ -513,7 +472,7 @@ pub fn solve_free_paths_lp_paths_on_grid(
 /// `(flow, interval)` is exactly a cheapest path under nonnegative edge
 /// prices — a Dijkstra/Bellman–Ford call instead of enumeration. The hop
 /// budget mirrors the eager enumeration (`shortest + path_slack`), so both
-/// modes optimize the same polytope whenever the eager candidate set is
+/// builders optimize the same polytope whenever the eager candidate set is
 /// complete, and their objectives agree to solver tolerance.
 ///
 /// `pool` persists generated paths across calls: a growing-grid sequence or
@@ -533,10 +492,9 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     chain: &mut WarmChain,
     pool: &mut PathPool,
 ) -> Result<(FreeLpSolution, ColGenStats), LpError> {
-    let max_rounds = match cfg.columns {
-        ColumnMode::Delayed { max_rounds } => max_rounds,
-        ColumnMode::Eager => ColumnMode::DEFAULT_MAX_ROUNDS,
-    };
+    // Cap on restricted-master solve rounds: a safety net far above the
+    // observed round counts, which are single-digit.
+    const MAX_ROUNDS: usize = 200;
     let nl = grid.count();
     let nf = instance.flow_count();
     let g = &instance.graph;
@@ -550,7 +508,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )
@@ -693,7 +651,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     let mut oracle_slots: Vec<OracleSlot> = Vec::new();
     oracle_slots.resize_with(oracle_workers, OracleSlot::default);
 
-    let (sol, stats) = solve_colgen(&mut m, &cfg.solver, chain, max_rounds, |sol, m| {
+    let (sol, stats) = solve_colgen(&mut m, &cfg.solver, chain, MAX_ROUNDS, |sol, m| {
         // Gather the (flow, interval) oracle calls whose dual bound says a
         // path could conceivably price out. Prescribed flows cannot
         // reroute; zero-size flows put no load on capacity rows, so every
@@ -983,20 +941,11 @@ mod tests {
             ..Default::default()
         };
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..cfg
-        };
-        let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
         let mut pool = PathPool::new();
-        let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
-            &inst,
-            &cfg_cg,
-            grid,
-            &mut WarmChain::new(),
-            &mut pool,
-        )
-        .unwrap();
+        let (cg, stats) =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
             "colgen {} vs eager {}",
@@ -1005,9 +954,6 @@ mod tests {
         );
         assert!(stats.rounds >= 1);
         assert_eq!(stats.final_cols, stats.seeded_cols + stats.generated_cols);
-        // The dispatching entry point gives the same result.
-        let dispatched = solve_free_paths_lp_paths(&inst, &cfg_cg).unwrap();
-        assert!((dispatched.base.objective - eager.base.objective).abs() < 1e-6);
     }
 
     /// Contention on a fat-tree forces pricing to actually generate
@@ -1024,20 +970,11 @@ mod tests {
         let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
         let cfg = FreePathsLpConfig::default();
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..cfg
-        };
-        let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
         let mut pool = PathPool::new();
-        let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
-            &inst,
-            &cfg_cg,
-            grid,
-            &mut WarmChain::new(),
-            &mut pool,
-        )
-        .unwrap();
+        let (cg, stats) =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
             "colgen {} vs eager {}",
@@ -1059,7 +996,6 @@ mod tests {
         let inst = triangle_inst();
         let cfg = FreePathsLpConfig {
             path_slack: 1,
-            columns: ColumnMode::delayed(),
             ..Default::default()
         };
         let h = inst.horizon();
@@ -1072,14 +1008,9 @@ mod tests {
                 solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut chain, &mut pool)
                     .unwrap();
             gen_per_solve.push(stats.generated_cols);
-            let eager_cfg = FreePathsLpConfig {
-                columns: ColumnMode::Eager,
-                ..cfg.clone()
-            };
             let grid = IntervalGrid::cover(cfg.eps, h * s);
-            let eager =
-                solve_free_paths_lp_paths_on_grid(&inst, &eager_cfg, grid, &mut WarmChain::new())
-                    .unwrap();
+            let eager = solve_free_paths_lp_paths_on_grid(&inst, &cfg, grid, &mut WarmChain::new())
+                .unwrap();
             assert!(
                 (cg.base.objective - eager.base.objective).abs() < 1e-6,
                 "scale {s}: colgen {} vs eager {}",
@@ -1109,11 +1040,18 @@ mod tests {
             )],
         );
         let cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
             path_slack: 1,
             ..Default::default()
         };
-        let lp = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        let (lp, _) = solve_free_paths_lp_colgen_on_grid(
+            &inst,
+            &cfg,
+            grid,
+            &mut WarmChain::new(),
+            &mut PathPool::new(),
+        )
+        .unwrap();
         match &lp.routing[0] {
             FlowRouting::PathWeights { paths, .. } => {
                 assert_eq!(paths.len(), 1);
@@ -1154,7 +1092,6 @@ mod tests {
         let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
         let run = |threads: usize| {
             let cfg = FreePathsLpConfig {
-                columns: ColumnMode::delayed(),
                 solver: coflow_lp::SolverOptions {
                     threads,
                     ..Default::default()

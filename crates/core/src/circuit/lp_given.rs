@@ -1,16 +1,17 @@
 //! The interval-indexed LP for circuit coflows with **given paths**
 //! (§2.1, constraints (4)–(10)).
 //!
-//! Variables, per flow `f` and usable interval `ℓ`:
-//! `x_{fℓ} ∈ [0,1]` — fraction of `f` completed in `(τ_ℓ, τ_{ℓ+1}]`.
-//! Per flow: completion `c_f`; per coflow: dummy completion `c_{i0}`
-//! (the reformulation's depth-1 in-tree: `c_f <= c_{i0}`, weight on the
-//! dummy only).
+//! This is the §2.2 path LP ([`crate::circuit::lp_free`]) in which every
+//! flow has exactly one candidate path, its prescribed one: the paper
+//! derives all its variants from one interval-indexed framework, and the
+//! path builder already restricts a flow that carries a path to that path.
+//! With one candidate the path LP's rows are exactly (4)–(10):
 //!
-//! Constraints:
-//! * (4) `Σ_ℓ x_{fℓ} = 1`
-//! * (5) `Σ_ℓ τ_ℓ x_{fℓ} <= c_f`
-//! * (6) `c_f <= c_{i0}`
+//! * (4) `Σ_ℓ x_{fℓ} = 1`, where `x_{fℓ} ∈ [0,1]` is the fraction of `f`
+//!   completed in `(τ_ℓ, τ_{ℓ+1}]`;
+//! * (5) `Σ_ℓ τ_ℓ x_{fℓ} <= c_f`;
+//! * (6) `c_f <= c_{i0}` (the reformulation's depth-1 in-tree: the weight
+//!   sits on the dummy completion `c_{i0}` only);
 //! * (7)+(8) capacity per edge and interval:
 //!   `Σ_{f ∈ P(e)} σ_f x_{fℓ} / Δ_ℓ <= c(e)` where `Δ_ℓ = τ_{ℓ+1} − τ_ℓ`.
 //!   *Deviation:* the paper divides by `τ_ℓ` (Eq. 7), which is 0 for
@@ -21,19 +22,20 @@
 //! * (9) release: no `x_{fℓ}` variable exists for intervals ending before
 //!   `r_f`; additionally `c_f >= r_f` (valid: completions follow releases).
 //! * (10) nonnegativity via variable bounds.
+//!
+//! The only §2.1-specific inputs are the grid's `ε` (the paper's 0.5436
+//! rather than §2.2's 1) and the requirement that every flow has a path.
 
+use crate::circuit::lp_free::{solve_free_paths_lp_paths_on_grid, FreePathsLpConfig};
 use crate::intervals::IntervalGrid;
 use crate::model::Instance;
-use coflow_lp::{LpError, Model, SolveStats, SolverOptions, VarId, WarmChain};
+use coflow_lp::{LpError, SolveStats, SolverOptions, WarmChain};
 
 /// Configuration for the §2.1 LP.
 #[derive(Clone, Debug)]
 pub struct GivenPathsLpConfig {
     /// Geometric growth `ε` of the interval grid (paper: 0.5436).
     pub eps: f64,
-    /// Add the valid inequality `c_f >= r_f + σ_f / bottleneck(p_f)`
-    /// (not in the paper; tightens lower bounds; off by default).
-    pub strengthen: bool,
     /// Simplex options.
     pub solver: SolverOptions,
 }
@@ -42,13 +44,13 @@ impl Default for GivenPathsLpConfig {
     fn default() -> Self {
         Self {
             eps: crate::PAPER_EPS,
-            strengthen: false,
             solver: SolverOptions::default(),
         }
     }
 }
 
-/// Solution of the §2.1 LP (also reused by the path-based §2.2 LP).
+/// Completion-fraction view of a circuit interval LP solution (§2.1, and
+/// the `base` of every §2.2 solution).
 #[derive(Clone, Debug)]
 pub struct CircuitLpSolution {
     /// The interval grid used.
@@ -122,123 +124,12 @@ pub fn solve_given_paths_lp_on_grid(
         instance.has_all_paths(),
         "given-paths LP requires a path on every flow"
     );
-    let nl = grid.count();
-    let nf = instance.flow_count();
-    let mut m = Model::new();
-
-    // Completion variables.
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let lb = c.earliest_release();
-            m.add_var(
-                c.weight,
-                if lb.is_finite() { lb } else { 0.0 },
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-    let mut c_flow: Vec<VarId> = Vec::with_capacity(nf);
-    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; nl]; nf];
-
-    for (id, flat, spec) in instance.flows() {
-        let mut lb = spec.release;
-        if cfg.strengthen {
-            let path = spec
-                .path
-                .as_ref()
-                .ok_or_else(|| LpError::Numerical(format!("flow {flat} has no prescribed path")))?;
-            let bottleneck = instance.graph.path_bottleneck(path);
-            if bottleneck.is_finite() && bottleneck > 0.0 {
-                lb += spec.size / bottleneck;
-            }
-        }
-        let cf = m.add_var(0.0, lb, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
-        let first = grid.first_usable(spec.release);
-        for (l, slot) in x[flat].iter_mut().enumerate().skip(first) {
-            *slot = Some(m.add_unit(0.0, format!("x{flat}:{l}")));
-        }
-        // (4) completion fractions sum to one.
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-        let terms: Vec<_> = (first..nl).map(|l| (x[flat][l].unwrap(), 1.0)).collect();
-        m.add_row_named(coflow_lp::Cmp::Eq, 1.0, &terms, format!("sum{flat}"));
-        // (5) completion definition.
-        #[allow(clippy::unwrap_used)]
-        let mut terms: Vec<_> = (first..nl)
-            // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-            .map(|l| (x[flat][l].unwrap(), grid.lower(l)))
-            .collect();
-        terms.push((cf, -1.0));
-        m.add_row_named(coflow_lp::Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
-        // (6) dummy-flow precedence.
-        m.add_row_named(
-            coflow_lp::Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
-    }
-
-    // (7)+(8) capacity rows: group flows by edge.
-    let g = &instance.graph;
-    let mut edge_flows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.edge_count()];
-    for (_, flat, spec) in instance.flows() {
-        if spec.size <= 0.0 {
-            continue;
-        }
-        let path = spec
-            .path
-            .as_ref()
-            .ok_or_else(|| LpError::Numerical(format!("flow {flat} has no prescribed path")))?;
-        for &e in path.edges.iter() {
-            edge_flows[e.index()].push((flat, spec.size));
-        }
-    }
-    for (ei, users) in edge_flows.iter().enumerate() {
-        if users.is_empty() {
-            continue;
-        }
-        let cap = g.capacity(coflow_net::EdgeId(ei as u32));
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..nl {
-            let len = grid.length(l);
-            let terms: Vec<_> = users
-                .iter()
-                .filter_map(|&(flat, size)| x[flat][l].map(|v| (v, size / len)))
-                .collect();
-            // Redundant-row pruning: x ∈ [0,1], so the row can only bind if
-            // the coefficients could sum past the capacity.
-            let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
-            if !terms.is_empty() && max_lhs > cap {
-                m.add_row_named(coflow_lp::Cmp::Le, cap, &terms, format!("cap{ei}:{l}"));
-            }
-        }
-    }
-
-    let sol = chain.solve(&m, &cfg.solver)?;
-
-    let xs: Vec<Vec<f64>> = x
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| v.map(|id| sol.value(id)).unwrap_or(0.0))
-                .collect()
-        })
-        .collect();
-    Ok(CircuitLpSolution {
-        grid,
-        x: xs,
-        flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-        coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-        objective: sol.objective,
-        iterations: sol.iterations,
-        stats: sol.stats,
-    })
+    let free_cfg = FreePathsLpConfig {
+        eps: cfg.eps,
+        solver: cfg.solver.clone(),
+        ..Default::default()
+    };
+    solve_free_paths_lp_paths_on_grid(instance, &free_cfg, grid, chain).map(|s| s.base)
 }
 
 #[cfg(test)]
@@ -366,32 +257,6 @@ mod tests {
             lp.coflow_completion[0],
             lp.coflow_completion[1]
         );
-    }
-
-    /// The strengthen option only increases (tightens) the lower bound.
-    #[test]
-    fn strengthening_tightens() {
-        let t = topo::line(2, 0.5); // slow edge: bottleneck matters
-        let p = paths::bfs_shortest_path(&t.graph, NodeId(0), NodeId(1)).unwrap();
-        let inst = Instance::new(
-            t.graph,
-            vec![Coflow::new(
-                1.0,
-                vec![FlowSpec::with_path(NodeId(0), NodeId(1), 4.0, 0.0, p)],
-            )],
-        );
-        let base = solve_given_paths_lp(&inst, &GivenPathsLpConfig::default()).unwrap();
-        let strong = solve_given_paths_lp(
-            &inst,
-            &GivenPathsLpConfig {
-                strengthen: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(strong.objective >= base.objective - 1e-9);
-        // σ/bottleneck = 8: strengthened LP must see at least that.
-        assert!(strong.objective >= 8.0 - 1e-6);
     }
 
     #[test]

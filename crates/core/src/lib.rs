@@ -7,9 +7,9 @@
 //! | paper | module | what it does |
 //! |-------|--------|--------------|
 //! | §1.1  | [`model`], [`objective`] | coflow instances; `Σ ω_k max_f c_f` |
-//! | §2.1  | [`circuit::lp_given`], [`circuit::round_given`] | interval-indexed LP (4)–(10) + α-point rounding, O(1)-approx for circuit coflows with given paths |
+//! | §2.1  | [`circuit::lp_given`], [`circuit::round_given`] | interval-indexed LP (4)–(10) (the §2.2 path LP with one candidate per flow) + α-point rounding, O(1)-approx for circuit coflows with given paths |
 //! | §2.2  | [`circuit::lp_free`], [`circuit::round_free`] | LP (15)–(23) with edge-flow (or path) variables, flow decomposition, Raghavan–Thompson randomized path selection — Algorithm 1 |
-//! | §3.1  | [`packet::jobshop`] | packet coflows with given paths as unit job-shop |
+//! | §3.1  | [`packet::jobshop`] | packet coflows with given paths as unit job-shop (the §3.2 pipeline with one candidate per packet) |
 //! | §3.2  | [`packet::free`], [`packet::timexp_lp`] | time-expanded-graph LP + per-interval routing & scheduling |
 //! | §4    | [`baselines`], [`order`] | Baseline / Schedule-only / Route-only heuristics and LP-completion-time orderings |
 //! | §1.3  | [`switch`] | the non-blocking-switch (task-based / concurrent-open-shop) special case |

@@ -81,6 +81,18 @@ impl Coflow {
             .fold(f64::INFINITY, f64::min)
     }
 
+    /// Lower bound of the coflow's LP completion variable: the earliest
+    /// release clamped at 0, or 0 when the coflow has no flows (where
+    /// [`Coflow::earliest_release`] is `inf`).
+    pub fn completion_floor(&self) -> f64 {
+        let r = self.earliest_release();
+        if r.is_finite() {
+            r.max(0.0)
+        } else {
+            0.0
+        }
+    }
+
     /// Total demand of member flows.
     pub fn total_size(&self) -> f64 {
         self.flows.iter().map(|f| f.size).sum()

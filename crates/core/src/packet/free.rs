@@ -19,6 +19,9 @@
 //!   sampling (the same technique §2.2 uses) followed by the greedy
 //!   `C+D` list scheduler.
 //!
+//! A packet that carries a prescribed path gets it as its only candidate;
+//! that is how [`crate::packet::jobshop`] runs §3.1 through this pipeline.
+//!
 //! The exact time-expanded LP of the paper is implemented separately in
 //! [`crate::packet::timexp_lp`] and used in tests as the reference bound.
 
@@ -28,7 +31,7 @@ use crate::objective::{metrics, Metrics};
 use crate::packet::jobshop::{horizon_steps, schedule_blocks, BlockStats};
 use crate::schedule::PacketSchedule;
 use coflow_lp::{LpError, Model, SolverOptions, VarId};
-use coflow_net::{paths as netpaths, EdgeId, Path};
+use coflow_net::{paths as netpaths, Path};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -95,7 +98,7 @@ pub fn route_and_schedule(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )
@@ -162,19 +165,15 @@ pub fn route_and_schedule(
     for l in 0..nl {
         let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
         for flat in 0..nf {
-            for (pi, p) in cand[flat].iter().enumerate() {
-                for (t, slot) in xv[flat][pi].iter().enumerate().take(l + 1) {
-                    if let Some(v) = slot {
-                        let _ = t;
-                        for &e in p.edges.iter() {
-                            per_edge[e.index()].push((*v, 1.0));
-                        }
+            for (p, row) in cand[flat].iter().zip(&xv[flat]) {
+                for &v in row[..=l].iter().flatten() {
+                    for &e in p.edges.iter() {
+                        per_edge[e.index()].push((v, 1.0));
                     }
                 }
             }
         }
-        for (ei, terms) in per_edge.iter().enumerate() {
-            let _ = EdgeId(ei as u32);
+        for terms in &per_edge {
             // Unit coefficients on [0,1] vars: prune rows that cannot bind.
             if terms.len() as f64 > grid.upper(l) {
                 m.le(terms, grid.upper(l));

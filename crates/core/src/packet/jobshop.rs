@@ -3,24 +3,30 @@
 //! of its path = a unit operation on "machine" e).
 //!
 //! The paper invokes Queyranne–Sviridenko \[25\] for an O(1) approximation.
-//! We implement the same interval-indexed template those algorithms share:
+//! We implement the same interval-indexed template those algorithms share,
+//! and it is the §3.2 pipeline ([`crate::packet::free`]) with one candidate
+//! path per packet, its prescribed one:
 //!
-//! 1. solve an interval-indexed LP with *cumulative congestion* constraints
-//!    (packets finishing by `τ_{ℓ+1}` can cross any edge at most `τ_{ℓ+1}`
-//!    times — the given-paths analogue of constraint (28)) and *dilation*
-//!    filtering (a packet cannot finish before `r + |p|` — analogue of
-//!    (29));
+//! 1. solve the interval-indexed LP with *cumulative congestion* rows
+//!    (packets finishing by `τ_{ℓ+1}` cross any edge at most `τ_{ℓ+1}`
+//!    times — constraint (28) on the fixed path) and *dilation* filtering
+//!    (a packet cannot finish before `r + |p|` — (29));
 //! 2. assign every packet to its α-interval;
 //! 3. schedule each block with the greedy `C+D` list scheduler
 //!    ([`crate::packet::listsched`]), blocks back-to-back.
+//!
+//! With a single candidate, §3.2's path sampling always returns the
+//! prescribed path, so [`schedule_given_paths`] only checks that every
+//! packet has a path and hands the instance to
+//! [`crate::packet::free::route_and_schedule`]. This module keeps the
+//! helpers both pipelines share.
 
-use crate::intervals::IntervalGrid;
 use crate::model::Instance;
-use crate::objective::{metrics, Metrics};
+use crate::objective::Metrics;
+use crate::packet::free::{route_and_schedule, PacketFreeConfig};
 use crate::packet::listsched::{list_schedule, PacketTask};
 use crate::schedule::PacketSchedule;
-use coflow_lp::{LpError, Model, SolverOptions, VarId};
-use coflow_net::EdgeId;
+use coflow_lp::{LpError, SolverOptions};
 
 /// Configuration of the packet LP + rounding.
 #[derive(Clone, Debug)]
@@ -69,9 +75,11 @@ pub struct PacketResult {
     pub blocks: Vec<BlockStats>,
 }
 
-/// Shared LP core for §3.1/§3.2: interval variables per (flow, path-length,
-/// usable interval) with cumulative congestion rows. The path is fixed here;
-/// the free-paths module builds its own variant with path choice.
+/// Schedules a packet instance whose packets all carry prescribed paths:
+/// the §3.2 pipeline restricted to those paths.
+///
+/// # Panics
+/// If some packet lacks a path.
 pub fn schedule_given_paths(
     instance: &Instance,
     cfg: &PacketConfig,
@@ -80,127 +88,17 @@ pub fn schedule_given_paths(
         instance.has_all_paths(),
         "§3.1 requires paths on every packet"
     );
-    let grid = IntervalGrid::cover(cfg.eps, horizon_steps(instance));
-    let nl = grid.count();
-    let nf = instance.flow_count();
-    let g = &instance.graph;
-    let mut m = Model::new();
-
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; nl]; nf];
-    for (id, flat, spec) in instance.flows() {
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-        let plen = spec.path.as_ref().unwrap().len() as f64;
-        // Dilation: completion >= release + path length (each edge takes a
-        // step). The earliest usable interval must end at or after that.
-        let earliest_done = spec.release.ceil() + plen;
-        let cf = m.add_var(
-            0.0,
-            earliest_done.max(0.0),
-            f64::INFINITY,
-            format!("c{flat}"),
-        );
-        c_flow.push(cf);
-        let first = grid.first_usable(earliest_done);
-        for (l, slot) in x[flat].iter_mut().enumerate().skip(first) {
-            *slot = Some(m.add_unit(0.0, format!("x{flat}:{l}")));
-        }
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-        let terms: Vec<_> = (first..nl).map(|l| (x[flat][l].unwrap(), 1.0)).collect();
-        m.eq(&terms, 1.0);
-        #[allow(clippy::unwrap_used)]
-        let mut terms: Vec<_> = (first..nl)
-            // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-            .map(|l| (x[flat][l].unwrap(), grid.lower(l)))
-            .collect();
-        terms.push((cf, -1.0));
-        m.le(&terms, 0.0);
-        m.le(&[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)], 0.0);
-    }
-
-    // Cumulative congestion (28): for every edge e and interval ℓ, the
-    // packets that finish by τ_{ℓ+1} and traverse e number at most τ_{ℓ+1}.
-    let mut users: Vec<Vec<usize>> = vec![Vec::new(); g.edge_count()];
-    for (_, flat, spec) in instance.flows() {
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-        for &e in spec.path.as_ref().unwrap().edges.iter() {
-            users[e.index()].push(flat);
-        }
-    }
-    for (ei, flows) in users.iter().enumerate() {
-        if flows.is_empty() {
-            continue;
-        }
-        let _ = EdgeId(ei as u32);
-        for l in 0..nl {
-            let mut terms = Vec::new();
-            for &flat in flows {
-                for (t, slot) in x[flat].iter().enumerate().take(l + 1) {
-                    if let Some(v) = slot {
-                        terms.push((*v, 1.0));
-                        let _ = t;
-                    }
-                }
-            }
-            // Unit coefficients on [0,1] vars: prune rows that cannot bind.
-            if terms.len() as f64 > grid.upper(l) {
-                m.le(&terms, grid.upper(l));
-            }
-        }
-    }
-
-    let sol = m.solve_with(&cfg.solver)?;
-
-    // α-point per packet.
-    let mut half = vec![0usize; nf];
-    for flat in 0..nf {
-        let mut acc = 0.0;
-        let mut h = nl - 1;
-        for (l, slot) in x[flat].iter().enumerate() {
-            if let Some(v) = slot {
-                acc += sol.value(*v);
-                if acc >= cfg.alpha - 1e-9 {
-                    h = l;
-                    break;
-                }
-            }
-        }
-        half[flat] = h;
-    }
-
-    #[allow(clippy::unwrap_used)]
-    let (schedule, blocks) = schedule_blocks(instance, &half, |flat| {
-        instance
-            .flow(instance.id_of_flat(flat))
-            .path
-            .clone()
-            // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-            .unwrap()
-    });
-    let completions = schedule.completion_times(instance);
-    let mets = metrics(instance, &completions);
-    Ok(PacketResult {
-        schedule,
-        lp_objective: sol.objective,
-        metrics: mets,
-        blocks,
+    let free_cfg = PacketFreeConfig {
+        eps: cfg.eps,
+        alpha: cfg.alpha,
+        solver: cfg.solver.clone(),
+        ..Default::default()
+    };
+    route_and_schedule(instance, &free_cfg).map(|r| PacketResult {
+        schedule: r.schedule,
+        lp_objective: r.lp_objective,
+        metrics: r.metrics,
+        blocks: r.blocks,
     })
 }
 

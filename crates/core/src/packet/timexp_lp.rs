@@ -60,7 +60,7 @@ pub fn packet_lp_lower_bound_warm(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )
@@ -231,7 +231,7 @@ pub fn packet_lp_lower_bound_colgen(
         .map(|(i, c)| {
             m.add_var(
                 c.weight,
-                c.earliest_release().max(0.0),
+                c.completion_floor(),
                 f64::INFINITY,
                 format!("C{i}"),
             )

@@ -17,8 +17,8 @@
 //! * [`Fifo`] — serve coflows in admission order.
 
 use coflow_core::circuit::lp_free::{
-    solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths_on_grid, ColumnMode,
-    FreePathsLpConfig, PathPool,
+    solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths_on_grid, FreePathsLpConfig,
+    PathPool,
 };
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig};
 use coflow_core::order::lp_order;
@@ -255,26 +255,25 @@ impl OnlinePolicy for WeightedFair {
 /// set [`LpOrder::warm`] to `false` to force cold re-solves (for A/B
 /// measurements).
 ///
-/// With [`ColumnMode::Delayed`] in `lp_cfg.columns` the re-solves run by
-/// column generation and the policy keeps one [`PathPool`] **across
-/// epochs**: residual flat indices are stable (admission appends, frozen
-/// flows keep their slot), so epoch `k+1`'s restricted master is seeded
-/// with every path epochs `0..k` paid pricing rounds to discover — the
-/// column-side analogue of the warm-started basis. Set
-/// [`LpOrder::pool_reuse`] to `false` to clear the pool (and the chain)
-/// every epoch, the cold baseline the pooled mode is measured against.
+/// Policies built by [`LpOrder::colgen`] solve each epoch by column
+/// generation and keep one [`PathPool`] **across epochs**: residual flat
+/// indices are stable (admission appends, frozen flows keep their slot),
+/// so epoch `k+1`'s restricted master is seeded with every path epochs
+/// `0..k` paid pricing rounds to discover — the column-side analogue of
+/// the warm-started basis. With `warm` off the pool is cleared together
+/// with the chain every epoch ([`LpOrder::colgen_cold_pool`]), the cold
+/// baseline the pooled mode is measured against.
 #[derive(Clone, Debug)]
 pub struct LpOrder {
-    /// LP configuration (grid ε, candidate-path budget, column mode,
-    /// solver options).
+    /// LP configuration (grid ε, candidate-path budget, solver options).
     pub lp_cfg: FreePathsLpConfig,
     /// Rounding configuration (α, displacement, seed, selection).
     pub round_cfg: FreeRoundingConfig,
-    /// Warm-start consecutive epoch re-solves (default `true`).
+    /// Warm-start consecutive epoch re-solves and, in colgen mode, keep the
+    /// generated-column pool across epochs (default `true`).
     pub warm: bool,
-    /// Keep the generated-column pool across epochs (default `true`;
-    /// only meaningful with [`ColumnMode::Delayed`]).
-    pub pool_reuse: bool,
+    /// Solve by column generation instead of eager path enumeration.
+    colgen: bool,
     chain: WarmChain,
     pool: PathPool,
     last: Option<SolveStats>,
@@ -294,7 +293,7 @@ impl LpOrder {
             lp_cfg,
             round_cfg,
             warm: true,
-            pool_reuse: true,
+            colgen: false,
             chain: WarmChain::new(),
             pool: PathPool::new(),
             last: None,
@@ -313,13 +312,10 @@ impl LpOrder {
 
     /// Column-generation mode with cross-epoch pool (and basis) reuse.
     pub fn colgen(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
-        Self::new(
-            FreePathsLpConfig {
-                columns: ColumnMode::delayed(),
-                ..lp_cfg
-            },
-            round_cfg,
-        )
+        Self {
+            colgen: true,
+            ..Self::new(lp_cfg, round_cfg)
+        }
     }
 
     /// Column-generation mode that clears the pool *and* the chain every
@@ -327,7 +323,6 @@ impl LpOrder {
     pub fn colgen_cold_pool(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
         Self {
             warm: false,
-            pool_reuse: false,
             ..Self::colgen(lp_cfg, round_cfg)
         }
     }
@@ -361,31 +356,26 @@ impl OnlinePolicy for LpOrder {
         }
         if !self.warm {
             self.chain.reset();
+            self.pool.clear();
         }
         let grid = IntervalGrid::cover(self.lp_cfg.eps, inst.horizon());
         // Residual LPs are feasible by construction, but the *solve* can
         // still fail (numerical breakdown past the solver's recovery
         // ladder, an exhausted budget, injected faults): that surfaces
         // here as a PolicyError for the engine's degradation ladder.
-        let lp = match self.lp_cfg.columns {
-            ColumnMode::Eager => {
-                self.last_colgen = None;
-                solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid, &mut self.chain)?
-            }
-            ColumnMode::Delayed { .. } => {
-                if !self.pool_reuse {
-                    self.pool.clear();
-                }
-                let (lp, cg) = solve_free_paths_lp_colgen_on_grid(
-                    inst,
-                    &self.lp_cfg,
-                    grid,
-                    &mut self.chain,
-                    &mut self.pool,
-                )?;
-                self.last_colgen = Some(cg);
-                lp
-            }
+        let lp = if self.colgen {
+            let (lp, cg) = solve_free_paths_lp_colgen_on_grid(
+                inst,
+                &self.lp_cfg,
+                grid,
+                &mut self.chain,
+                &mut self.pool,
+            )?;
+            self.last_colgen = Some(cg);
+            lp
+        } else {
+            self.last_colgen = None;
+            solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid, &mut self.chain)?
         };
         self.last = Some(lp.base.stats);
         let rounding = round_free_paths(inst, &lp, &self.round_cfg);

@@ -33,7 +33,7 @@ pub mod prelude {
     pub use coflow_core::baselines::{self, BaselineConfig, Scheme};
     pub use coflow_core::circuit::lp_free::{
         solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_edges, solve_free_paths_lp_paths,
-        ColumnMode, FreePathsLpConfig, PathPool,
+        FreePathsLpConfig, PathPool,
     };
     pub use coflow_core::circuit::lp_given::{solve_given_paths_lp, GivenPathsLpConfig};
     pub use coflow_core::circuit::round_free::{

@@ -20,7 +20,7 @@ fn cfg(n: usize, w: usize, seed: u64) -> GenConfig {
 }
 
 /// Small topologies whose candidate-path sets the eager enumeration covers
-/// completely (so both modes optimize the same polytope).
+/// completely (so both builders optimize the same polytope).
 fn small_topo(pick: usize) -> coflow::net::topo::Topology {
     match pick % 3 {
         0 => coflow::net::topo::fat_tree(4, 1.0),
@@ -51,22 +51,18 @@ proptest! {
 
         // `max_paths` far above any small-topology path count keeps the
         // eager enumeration complete — the precondition for equality.
-        let eager_cfg = FreePathsLpConfig {
+        let lp_cfg = FreePathsLpConfig {
             path_slack: slack,
             max_paths: 64,
             ..Default::default()
         };
-        let eager = solve_free_paths_lp_paths(&inst, &eager_cfg).unwrap();
+        let eager = solve_free_paths_lp_paths(&inst, &lp_cfg).unwrap();
 
-        let cg_cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..eager_cfg
-        };
-        let grid = IntervalGrid::cover(cg_cfg.eps, inst.horizon());
+        let grid = IntervalGrid::cover(lp_cfg.eps, inst.horizon());
         let mut pool = PathPool::new();
         let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
             &inst,
-            &cg_cfg,
+            &lp_cfg,
             grid,
             &mut WarmChain::new(),
             &mut pool,
@@ -103,10 +99,7 @@ proptest! {
     fn pooled_resolve_is_generation_free(seed in 0u64..200) {
         let topo = coflow::net::topo::fat_tree(4, 1.0);
         let inst = generate(&topo, &cfg(2, 3, seed));
-        let cg_cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
-            ..Default::default()
-        };
+        let cg_cfg = FreePathsLpConfig::default();
         let mut pool = PathPool::new();
         let mut chain = WarmChain::new();
         let grid = IntervalGrid::cover(cg_cfg.eps, inst.horizon());
