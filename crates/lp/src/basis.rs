@@ -14,7 +14,7 @@
 //! and by original row index always (exact whenever the grown model keeps
 //! the old rows as a prefix); rows the mapping cannot account for are
 //! completed by a rank-revealing elimination (see
-//! `sparse_lu::complete_basis_into`) with a bounded feasibility-repair loop.
+//! `sparse_lu::eliminate_into`) with a bounded feasibility-repair loop.
 //!
 //! Snapshots only store the *exceptional* statuses (basic, nonbasic at upper
 //! bound); everything else defaults to nonbasic at lower bound, which is

@@ -26,7 +26,7 @@
 //!   onto this one by variable name (slacks by row name or original row
 //!   index); the mapped basic set is completed to a full nonsingular basis
 //!   by a rank-revealing elimination
-//!   ([`crate::sparse_lu::complete_basis_into`]), preferring each uncovered
+//!   ([`crate::sparse_lu::eliminate_into`]), preferring each uncovered
 //!   row's slack over its artificial. Basic variables the mapping forces
 //!   outside their bounds are repaired by a bound-shifting "phase 0"
 //!   rather than rejected wholesale; if the repair fails the solver falls
@@ -42,7 +42,7 @@ use crate::scratch::{
     prep, reserve, reserve_pool, AsmBufs, CompleteBufs, Counters, FactorBufs, PhaseBufs, Scratch,
     WarmBufs,
 };
-use crate::sparse_lu::complete_basis_into;
+use crate::sparse_lu::eliminate_into;
 use coflow_obs::{Accum, Counter as ObsCounter, Recorder, SpanName};
 
 /// Variable status in the simplex dictionary.
@@ -1673,13 +1673,15 @@ fn try_warm_start(
         col.clear();
         st.for_col(j, |row, v| col.push((row as u32, v)));
     }
-    complete_basis_into(
+    let t0 = rec.stamp();
+    eliminate_into(
         &mut complete.elim,
         &mut complete.ws,
         m,
         &fx.cols[..cand.len()],
         cnt,
     );
+    rec.lap(Accum::Factor, t0);
     let picked = &complete.elim.pivoted_col;
     let covered = &complete.elim.pivoted_row;
     st.basis.clear();

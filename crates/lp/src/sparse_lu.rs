@@ -6,33 +6,42 @@
 //! sparse under elimination when pivots are chosen to limit fill-in. This
 //! module implements:
 //!
-//! * [`LuFactors`] — a right-looking sparse Gaussian elimination with
+//! * [`eliminate_into`] — a right-looking sparse Gaussian elimination with
 //!   Markowitz pivoting (cost `(r_i − 1)(c_j − 1)` under a relative
 //!   stability threshold), producing permuted triangular factors stored as
 //!   **flat CSR-style arrays** (`lcol_ptr`/`lcol_rows`/`lcol_vals`,
 //!   `urow_ptr`/`urow_cols`/`urow_vals`) rather than per-step vectors, so a
-//!   refactorization reuses one contiguous allocation per component;
-//! * an **eta file**: after each simplex pivot the factorization is updated
-//!   in product form (`B⁻¹ ← E⁻¹ B⁻¹`), stored flat the same way, so a
+//!   refactorization reuses one contiguous allocation per component. It
+//!   also serves warm starts as a rank-revealing elimination: given the
+//!   candidate basic columns mapped from a previous solve, it reports which
+//!   candidates are independent and which rows remain uncovered (to be
+//!   filled by slack or artificial unit columns);
+//! * **pivot selection** examines the (at most) four active columns with
+//!   the fewest live nonzeros, ties broken by lower column index. They are
+//!   read off a flat binary min-tree over `(count << 32) | column` keys,
+//!   updated in `O(log n)` wherever a count changes or a column is
+//!   pivoted, so a pivot step costs `O(log n)` per count change instead of
+//!   a scan over all `n` columns (which made every refactorization
+//!   `O(m²)` even on near-triangular bases). The tree selects exactly the
+//!   pivots the linear scan did;
+//! * [`LuFactors`] — the completed factors of a square basis plus an **eta
+//!   file**: after each simplex pivot the factorization is updated in
+//!   product form (`B⁻¹ ← E⁻¹ B⁻¹`), stored flat the same way, so a
 //!   refactorization is only needed every few dozen pivots or when the eta
 //!   file outgrows the factors;
-//! * [`complete_basis_into`] — a rank-revealing elimination used by warm
-//!   starts: given candidate basic columns mapped from a previous solve, it
-//!   reports which candidates are independent and which rows remain
-//!   uncovered (to be filled by slack or artificial unit columns);
 //! * [`ElimWs`] — the elimination's working arrays (row-major working
-//!   matrix, column membership lists, epoch-stamped dense scratch), owned
-//!   by the caller and reused across factorizations. On the steady-state
-//!   path of a solve sequence ([`Scratch`](crate::Scratch)-threaded), a
-//!   refactorization performs zero allocations once capacities have grown
-//!   to the working size; every length-known acquisition is counted via
+//!   matrix, column membership lists, the candidate tree, epoch-stamped
+//!   dense scratch), owned by the caller and reused across factorizations.
+//!   On the steady-state path of a solve sequence
+//!   ([`Scratch`](crate::Scratch)-threaded), a refactorization performs
+//!   zero allocations once capacities have grown to the working size;
+//!   every length-known acquisition is counted via
 //!   [`Counters`](crate::scratch::Counters).
 //!
-//! Everything here is allocation-conscious but deliberately simple: dense
-//! scratch vectors with epoch stamps instead of hyper-sparse kernels. The
-//! LPs this solver targets have `m` in the hundreds-to-low-thousands, where
-//! an `O(m)` pass per solve is noise next to the avoided `O(m²)` dense
-//! work.
+//! FTRAN/BTRAN use dense scratch vectors with epoch stamps instead of
+//! hyper-sparse kernels: the LPs this solver targets have `m` in the
+//! hundreds-to-low-thousands, where an `O(m)` pass per solve is small next
+//! to the avoided `O(m²)` dense work.
 
 use crate::nonzero;
 use crate::scratch::{prep, reserve_pool, Counters};
@@ -112,12 +121,83 @@ pub(crate) struct ElimWs {
     targets: Vec<u32>,
     /// Replacement row being assembled (swapped into `rows`).
     fresh: Vec<(u32, f64)>,
+    /// Pivot-candidate order: a min-tree over every column's `cand_key`.
+    tree: MinTree,
+}
+
+/// Min-tree key of column `c`: `(count << 32) | c` while the column is a
+/// pivot candidate (active and nonempty), `u64::MAX` otherwise. Ordering
+/// keys orders columns by count, then by index.
+// lint: hot
+#[inline]
+fn cand_key(ccount: usize, active: bool, c: usize) -> u64 {
+    if active && ccount > 0 {
+        ((ccount as u64) << 32) | c as u64
+    } else {
+        u64::MAX
+    }
+}
+
+/// A flat binary min-tree over `n` leaves: node `i` holds the minimum of
+/// nodes `2i` and `2i + 1`, leaf `c` sits at `half + c` and the root at 1.
+#[derive(Clone, Debug, Default)]
+struct MinTree {
+    t: Vec<u64>,
+    half: usize,
+}
+
+impl MinTree {
+    /// Rebuilds the tree over `keys` (one per leaf) in `O(n)`.
+    // lint: hot
+    fn build(&mut self, cnt: &mut Counters, keys: impl ExactSizeIterator<Item = u64>) {
+        self.half = keys.len().next_power_of_two();
+        prep(cnt, &mut self.t, 2 * self.half, u64::MAX);
+        for (leaf, k) in self.t[self.half..].iter_mut().zip(keys) {
+            *leaf = k;
+        }
+        for i in (1..self.half).rev() {
+            self.t[i] = self.t[2 * i].min(self.t[2 * i + 1]);
+        }
+    }
+
+    /// Sets leaf `c` to `key` and repairs its ancestors in `O(log n)`,
+    /// stopping at the first one whose minimum does not change.
+    // lint: hot
+    #[inline]
+    fn set(&mut self, c: usize, key: u64) {
+        let mut i = self.half + c;
+        if self.t[i] == key {
+            return;
+        }
+        self.t[i] = key;
+        while i > 1 {
+            i /= 2;
+            let v = self.t[2 * i].min(self.t[2 * i + 1]);
+            if self.t[i] == v {
+                break;
+            }
+            self.t[i] = v;
+        }
+    }
+
+    /// The smallest key (`u64::MAX` when no leaf is a candidate).
+    // lint: hot
+    #[inline]
+    fn min(&self) -> u64 {
+        self.t[1]
+    }
 }
 
 /// Runs sparse Markowitz elimination on `cols` (an `m × cols.len()`
 /// matrix) into `e`, reusing `ws` for all working storage. Stops when no
 /// numerically acceptable pivot remains; with `cols.len() == m` and a
 /// nonsingular matrix it runs to completion.
+///
+/// Rank-revealing for warm starts: given the candidate basic columns a
+/// previous basis suggests, `e.pivoted_col` flags which candidates form a
+/// maximal independent (numerically acceptable) subset and `e.pivoted_row`
+/// which of the `m` rows they cover — the caller fills the rest with slack
+/// or artificial unit columns, trivially independent of everything chosen.
 // lint: hot
 pub(crate) fn eliminate_into(
     e: &mut Elimination,
@@ -189,6 +269,7 @@ pub(crate) fn eliminate_into(
         entries,
         targets,
         fresh,
+        tree,
     } = ws;
 
     // Row-major working matrix + column membership lists.
@@ -205,34 +286,30 @@ pub(crate) fn eliminate_into(
             ccount[c as usize] += 1;
         }
     }
+    tree.build(cnt, (0..n).map(|c| cand_key(ccount[c], true, c)));
 
     let steps = n.min(m);
     for _ in 0..steps {
-        // --- Pivot selection: examine a few smallest-count active columns. ---
-        let mut cand: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
-        let mut cand_cnt: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
-        for c in 0..n {
-            if !col_active[c] || ccount[c] == 0 {
-                continue;
-            }
-            let cnt = ccount[c];
-            // Insertion into the top-K (smallest counts) list.
-            let mut j = PIV_CANDIDATES;
-            while j > 0 && cnt < cand_cnt[j - 1] {
-                j -= 1;
-            }
-            if j < PIV_CANDIDATES {
-                for k in (j + 1..PIV_CANDIDATES).rev() {
-                    cand[k] = cand[k - 1];
-                    cand_cnt[k] = cand_cnt[k - 1];
-                }
-                cand[j] = c;
-                cand_cnt[j] = cnt;
-            }
-        }
+        // --- Pivot selection: examine a few smallest-count active columns,
+        // read off the tree root in `(count, index)` order. A candidate is
+        // popped (its leaf set to MAX) only when the next one is needed,
+        // and every examined leaf is restored from its current count after
+        // selection. ---
+        let mut seen: [usize; PIV_CANDIDATES] = [0; PIV_CANDIDATES];
+        let mut n_seen = 0;
         // (best Markowitz cost, -|a|) -> (row, col, value)
         let mut best: Option<(usize, f64, usize, usize, f64)> = None;
-        for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
+        while n_seen < PIV_CANDIDATES {
+            if n_seen > 0 {
+                tree.set(seen[n_seen - 1], u64::MAX);
+            }
+            let top = tree.min();
+            if top == u64::MAX {
+                break;
+            }
+            let c = (top & u64::from(u32::MAX)) as usize;
+            seen[n_seen] = c;
+            n_seen += 1;
             // Compact this column's row list while scanning.
             let mut colmax = 0.0f64;
             entries.clear();
@@ -270,6 +347,9 @@ pub(crate) fn eliminate_into(
                 break; // a singleton pivot cannot be beaten
             }
         }
+        for &c in &seen[..n_seen] {
+            tree.set(c, cand_key(ccount[c], col_active[c], c));
+        }
         let Some((_, _, pr, pc, piv)) = best else {
             break; // no acceptable pivot: matrix (numerically) rank-deficient
         };
@@ -284,6 +364,7 @@ pub(crate) fn eliminate_into(
         pivoted_row[pr] = true;
         row_active[pr] = false;
         col_active[pc] = false;
+        tree.set(pc, u64::MAX);
         let ustart = urow_cols.len();
         for &(c, v) in &rows[pr] {
             if c != pc as u32 && col_active[c as usize] {
@@ -293,7 +374,9 @@ pub(crate) fn eliminate_into(
         }
         let uend = urow_cols.len();
         for &c in &urow_cols[ustart..uend] {
-            ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+            let cu = c as usize;
+            ccount[cu] = ccount[cu].saturating_sub(1);
+            tree.set(cu, cand_key(ccount[cu], true, cu));
         }
         *nnz += uend - ustart + 1;
 
@@ -361,9 +444,11 @@ pub(crate) fn eliminate_into(
                 stamp[c as usize] = *epoch; // mark "was present"
             }
             for &(c, _) in fresh.iter() {
-                if stamp[c as usize] != *epoch {
-                    col_rows[c as usize].push(r as u32);
-                    ccount[c as usize] += 1;
+                let cu = c as usize;
+                if stamp[cu] != *epoch {
+                    col_rows[cu].push(r as u32);
+                    ccount[cu] += 1;
+                    tree.set(cu, cand_key(ccount[cu], true, cu));
                 }
                 // Mark "still present" with a different trick: bump below.
             }
@@ -373,8 +458,10 @@ pub(crate) fn eliminate_into(
                 stamp[c as usize] = *epoch;
             }
             for &(c, _) in &rows[r] {
-                if stamp[c as usize] != *epoch && col_active[c as usize] && c != pc as u32 {
-                    ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+                let cu = c as usize;
+                if stamp[cu] != *epoch && col_active[cu] && c != pc as u32 {
+                    ccount[cu] = ccount[cu].saturating_sub(1);
+                    tree.set(cu, cand_key(ccount[cu], true, cu));
                 }
             }
             // The freshly built row replaces the old one; the displaced
@@ -577,24 +664,6 @@ impl LuFactors {
     }
 }
 
-/// Rank-revealing basis completion for warm starts.
-///
-/// `candidates` are the columns a previous basis suggests as basic. After
-/// the call, `e.pivoted_col` flags, per candidate, whether it is part of a
-/// maximal independent (numerically acceptable) subset, and `e.pivoted_row`
-/// which of the `m` rows were covered — the caller fills the rest with
-/// slack or artificial unit columns, which are trivially independent of
-/// everything already chosen.
-pub(crate) fn complete_basis_into(
-    e: &mut Elimination,
-    ws: &mut ElimWs,
-    m: usize,
-    candidates: &[SparseCol],
-    cnt: &mut Counters,
-) {
-    eliminate_into(e, ws, m, candidates, cnt);
-}
-
 #[cfg(test)]
 // Unit tests assert exact expected values; strict float equality is the point.
 #[allow(clippy::float_cmp)]
@@ -610,6 +679,419 @@ mod tests {
             }
         }
         b
+    }
+
+    /// The elimination as it was before the candidate min-tree: identical
+    /// except that pivot selection rescans all `n` columns each step.
+    /// Kept as the oracle the tree must reproduce pivot for pivot.
+    fn eliminate_scan_reference(
+        e: &mut Elimination,
+        ws: &mut ElimWs,
+        m: usize,
+        cols: &[SparseCol],
+        cnt: &mut Counters,
+    ) {
+        let n = cols.len();
+        // Reset the output factors (capacity retained across calls).
+        e.rp.clear();
+        e.cpos.clear();
+        e.diag.clear();
+        e.lcol_ptr.clear();
+        e.lcol_ptr.push(0);
+        e.lcol_rows.clear();
+        e.lcol_vals.clear();
+        e.urow_ptr.clear();
+        e.urow_ptr.push(0);
+        e.urow_cols.clear();
+        e.urow_vals.clear();
+        prep(cnt, &mut e.step_of_col, n, u32::MAX);
+        prep(cnt, &mut e.pivoted_col, n, false);
+        prep(cnt, &mut e.pivoted_row, m, false);
+        e.nnz = 0;
+
+        // Acquire the working arrays.
+        reserve_pool(cnt, &mut ws.rows, m);
+        for row in &mut ws.rows[..m] {
+            row.clear();
+        }
+        reserve_pool(cnt, &mut ws.col_rows, n);
+        for cr in &mut ws.col_rows[..n] {
+            cr.clear();
+        }
+        prep(cnt, &mut ws.ccount, n, 0);
+        prep(cnt, &mut ws.row_active, m, true);
+        prep(cnt, &mut ws.col_active, n, true);
+        prep(cnt, &mut ws.val, n, 0.0);
+        prep(cnt, &mut ws.stamp, n, 0);
+
+        // Field-disjoint borrows: the pivot loop reads/writes several working
+        // arrays and factor sections at once.
+        let Elimination {
+            rp,
+            cpos,
+            diag,
+            lcol_ptr,
+            lcol_rows,
+            lcol_vals,
+            urow_ptr,
+            urow_cols,
+            urow_vals,
+            step_of_col,
+            pivoted_col,
+            pivoted_row,
+            nnz,
+        } = e;
+        let ElimWs {
+            rows,
+            col_rows,
+            ccount,
+            row_active,
+            col_active,
+            val,
+            stamp,
+            epoch,
+            touched,
+            entries,
+            targets,
+            fresh,
+            ..
+        } = ws;
+
+        // Row-major working matrix + column membership lists.
+        for (c, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                if nonzero(v) {
+                    rows[r as usize].push((c as u32, v));
+                }
+            }
+        }
+        for (r, row) in rows[..m].iter().enumerate() {
+            for &(c, _) in row {
+                col_rows[c as usize].push(r as u32);
+                ccount[c as usize] += 1;
+            }
+        }
+
+        let steps = n.min(m);
+        for _ in 0..steps {
+            // --- Pivot selection: examine a few smallest-count active columns. ---
+            let mut cand: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
+            let mut cand_cnt: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
+            for c in 0..n {
+                if !col_active[c] || ccount[c] == 0 {
+                    continue;
+                }
+                let cnt = ccount[c];
+                // Insertion into the top-K (smallest counts) list.
+                let mut j = PIV_CANDIDATES;
+                while j > 0 && cnt < cand_cnt[j - 1] {
+                    j -= 1;
+                }
+                if j < PIV_CANDIDATES {
+                    for k in (j + 1..PIV_CANDIDATES).rev() {
+                        cand[k] = cand[k - 1];
+                        cand_cnt[k] = cand_cnt[k - 1];
+                    }
+                    cand[j] = c;
+                    cand_cnt[j] = cnt;
+                }
+            }
+            // (best Markowitz cost, -|a|) -> (row, col, value)
+            let mut best: Option<(usize, f64, usize, usize, f64)> = None;
+            for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
+                // Compact this column's row list while scanning.
+                let mut colmax = 0.0f64;
+                entries.clear();
+                col_rows[c].retain(|&r| {
+                    if !row_active[r as usize] {
+                        return false;
+                    }
+                    match rows[r as usize].iter().find(|&&(cc, _)| cc == c as u32) {
+                        Some(&(_, v)) if nonzero(v) => {
+                            colmax = colmax.max(v.abs());
+                            entries.push((r, v));
+                            true
+                        }
+                        _ => false,
+                    }
+                });
+                ccount[c] = entries.len();
+                if colmax < PIV_ABS {
+                    continue;
+                }
+                for &(r, v) in entries.iter() {
+                    if v.abs() < PIV_REL * colmax {
+                        continue;
+                    }
+                    let cost = (rows[r as usize].len() - 1) * (ccount[c] - 1);
+                    let better = match best {
+                        None => true,
+                        Some((bc, ba, ..)) => cost < bc || (cost == bc && v.abs() > ba),
+                    };
+                    if better {
+                        best = Some((cost, v.abs(), r as usize, c, v));
+                    }
+                }
+                if matches!(best, Some((0, ..))) {
+                    break; // a singleton pivot cannot be beaten
+                }
+            }
+            let Some((_, _, pr, pc, piv)) = best else {
+                break; // no acceptable pivot: matrix (numerically) rank-deficient
+            };
+
+            // --- Record the pivot. ---
+            let k = rp.len();
+            rp.push(pr as u32);
+            cpos.push(pc as u32);
+            diag.push(piv);
+            step_of_col[pc] = k as u32;
+            pivoted_col[pc] = true;
+            pivoted_row[pr] = true;
+            row_active[pr] = false;
+            col_active[pc] = false;
+            let ustart = urow_cols.len();
+            for &(c, v) in &rows[pr] {
+                if c != pc as u32 && col_active[c as usize] {
+                    urow_cols.push(c);
+                    urow_vals.push(v);
+                }
+            }
+            let uend = urow_cols.len();
+            for &c in &urow_cols[ustart..uend] {
+                ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+            }
+            *nnz += uend - ustart + 1;
+
+            // --- Eliminate the pivot column from the remaining rows. ---
+            let lstart = lcol_rows.len();
+            // Collect target rows first (col_rows[pc] was compacted above).
+            targets.clear();
+            targets.extend(
+                col_rows[pc]
+                    .iter()
+                    .copied()
+                    .filter(|&r| row_active[r as usize]),
+            );
+            for &rt in targets.iter() {
+                let r = rt as usize;
+                let arc = rows[r]
+                    .iter()
+                    .find(|&&(cc, _)| cc == pc as u32)
+                    .map(|&(_, v)| v)
+                    .unwrap_or(0.0);
+                if !nonzero(arc) {
+                    continue;
+                }
+                let f = arc / piv;
+                lcol_rows.push(r as u32);
+                lcol_vals.push(f);
+                // rows[r] ← rows[r] − f · urow  (pivot column dropped).
+                *epoch += 1;
+                touched.clear();
+                let mut rowmax = 0.0f64;
+                for &(c, v) in &rows[r] {
+                    if c == pc as u32 || !col_active[c as usize] {
+                        continue;
+                    }
+                    val[c as usize] = v;
+                    stamp[c as usize] = *epoch;
+                    touched.push(c);
+                    rowmax = rowmax.max(v.abs());
+                }
+                for (&c, &v) in urow_cols[ustart..uend].iter().zip(&urow_vals[ustart..uend]) {
+                    let cu = c as usize;
+                    let dv = f * v;
+                    if stamp[cu] == *epoch {
+                        val[cu] -= dv;
+                    } else {
+                        val[cu] = -dv;
+                        stamp[cu] = *epoch;
+                        touched.push(c);
+                    }
+                    rowmax = rowmax.max(dv.abs());
+                }
+                let drop = DROP_REL * (1.0 + rowmax);
+                fresh.clear();
+                for &c in touched.iter() {
+                    let v = val[c as usize];
+                    if v.abs() > drop {
+                        fresh.push((c, v));
+                    }
+                }
+                // Maintain column bookkeeping: count diffs + new memberships.
+                // Old membership: anything in rows[r] (pre-update); cheap diff
+                // via the scratch stamps (reuse `val` sign is unsafe; do sets).
+                *epoch += 1;
+                for &(c, _) in &rows[r] {
+                    stamp[c as usize] = *epoch; // mark "was present"
+                }
+                for &(c, _) in fresh.iter() {
+                    if stamp[c as usize] != *epoch {
+                        col_rows[c as usize].push(r as u32);
+                        ccount[c as usize] += 1;
+                    }
+                    // Mark "still present" with a different trick: bump below.
+                }
+                // Entries that vanished: decrement counts.
+                *epoch += 1;
+                for &(c, _) in fresh.iter() {
+                    stamp[c as usize] = *epoch;
+                }
+                for &(c, _) in &rows[r] {
+                    if stamp[c as usize] != *epoch && col_active[c as usize] && c != pc as u32 {
+                        ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+                    }
+                }
+                // The freshly built row replaces the old one; the displaced
+                // storage becomes the next `fresh` (cleared before use).
+                std::mem::swap(&mut rows[r], fresh);
+            }
+            *nnz += lcol_rows.len() - lstart;
+            lcol_ptr.push(lcol_rows.len());
+            urow_ptr.push(urow_cols.len());
+        }
+    }
+    /// Deterministic xorshift64 stream of uniform `u64`s.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        /// A small value from a set where exact cancellation is common
+        /// (so entries vanish during elimination) plus a generic one.
+        fn val(&mut self) -> f64 {
+            const VALS: [f64; 6] = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0];
+            if self.below(4) == 0 {
+                (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            } else {
+                VALS[self.below(VALS.len())]
+            }
+        }
+    }
+
+    /// Sums duplicate rows of a column (keeping zeros, which the
+    /// elimination must skip).
+    fn merge_dups(mut col: SparseCol) -> SparseCol {
+        col.sort_by_key(|&(r, _)| r);
+        col.dedup_by(|a, b| {
+            if a.0 == b.0 {
+                b.1 += a.1;
+                true
+            } else {
+                false
+            }
+        });
+        col
+    }
+
+    /// `m × n` sparse matrix with up to `per_col` random entries per column;
+    /// when `diag` a nonzero lands on `(j % m, j)` so square instances are
+    /// (generically) nonsingular. Columns are shuffled so the diagonal is
+    /// not in pivot order.
+    fn random_cols(
+        rng: &mut Rng,
+        m: usize,
+        n: usize,
+        per_col: usize,
+        diag: bool,
+    ) -> Vec<SparseCol> {
+        let mut cols: Vec<SparseCol> = (0..n)
+            .map(|j| {
+                let mut col: SparseCol = Vec::new();
+                if diag {
+                    col.push(((j % m) as u32, 4.0 + rng.val()));
+                }
+                for _ in 0..rng.below(per_col + 1) {
+                    col.push((rng.below(m) as u32, rng.val()));
+                }
+                merge_dups(col)
+            })
+            .collect();
+        for j in (1..n).rev() {
+            cols.swap(j, rng.below(j + 1));
+        }
+        cols
+    }
+
+    /// Rank-deficient square input: a random matrix whose columns are
+    /// partly replaced by sums of two others, or emptied.
+    fn rank_deficient_cols(rng: &mut Rng, m: usize) -> Vec<SparseCol> {
+        let mut cols = random_cols(rng, m, m, 3, true);
+        for _ in 0..1 + m / 6 {
+            let (i, k, t) = (rng.below(m), rng.below(m), rng.below(m));
+            if t == i || t == k {
+                continue;
+            }
+            let f = rng.val();
+            let mut sum = cols[i].clone();
+            sum.extend(cols[k].iter().map(|&(r, v)| (r, f * v)));
+            cols[t] = merge_dups(sum);
+        }
+        let z = rng.below(m);
+        cols[z].clear();
+        cols
+    }
+
+    /// Runs the tree-driven elimination and the scan oracle on `cols` and
+    /// asserts identical pivots and bit-identical factors.
+    fn assert_same_pivots(m: usize, cols: &[SparseCol], what: &str) {
+        let (mut e, mut ws) = (Elimination::default(), ElimWs::default());
+        let (mut r, mut rws) = (Elimination::default(), ElimWs::default());
+        let mut cnt = Counters::default();
+        eliminate_into(&mut e, &mut ws, m, cols, &mut cnt);
+        eliminate_scan_reference(&mut r, &mut rws, m, cols, &mut cnt);
+        assert_eq!(e.rp, r.rp, "{what}: pivot rows");
+        assert_eq!(e.cpos, r.cpos, "{what}: pivot columns");
+        assert_eq!(e.pivoted_col, r.pivoted_col, "{what}: pivoted_col");
+        assert_eq!(e.pivoted_row, r.pivoted_row, "{what}: pivoted_row");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&e.diag), bits(&r.diag), "{what}: diag");
+        assert_eq!(e.lcol_ptr, r.lcol_ptr, "{what}: lcol_ptr");
+        assert_eq!(e.lcol_rows, r.lcol_rows, "{what}: lcol_rows");
+        assert_eq!(bits(&e.lcol_vals), bits(&r.lcol_vals), "{what}: lcol_vals");
+        assert_eq!(e.urow_ptr, r.urow_ptr, "{what}: urow_ptr");
+        assert_eq!(e.urow_cols, r.urow_cols, "{what}: urow_cols");
+        assert_eq!(bits(&e.urow_vals), bits(&r.urow_vals), "{what}: urow_vals");
+        assert_eq!(e.nnz, r.nnz, "{what}: nnz");
+    }
+
+    /// Square nonsingular inputs with fill, candidate sets with `n ≠ m`
+    /// (as warm-start completion passes) and rank-deficient inputs, for
+    /// `seeds` seeds and `m` up to `max_m`.
+    fn pivot_oracle_sweep(seeds: u64, max_m: usize) {
+        for seed in 1..=seeds {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let m = 2 + rng.below(max_m - 1);
+            let cols = random_cols(&mut rng, m, m, 4, true);
+            assert_same_pivots(m, &cols, &format!("square seed {seed} m {m}"));
+            let n = 1 + rng.below(2 * m);
+            let diag = rng.below(2) == 0;
+            let cols = random_cols(&mut rng, m, n, 3, diag);
+            assert_same_pivots(m, &cols, &format!("candidates seed {seed} m {m} n {n}"));
+            let cols = rank_deficient_cols(&mut rng, m);
+            assert_same_pivots(m, &cols, &format!("rank-deficient seed {seed} m {m}"));
+        }
+    }
+
+    #[test]
+    fn tree_selects_the_scan_pivots() {
+        pivot_oracle_sweep(24, 24);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn tree_selects_the_scan_pivots_at_size() {
+        pivot_oracle_sweep(200, 160);
     }
 
     #[test]
@@ -659,17 +1141,7 @@ mod tests {
                     col.push((r as u32, rnd() - 0.5));
                 }
             }
-            // Merge duplicate rows.
-            col.sort_by_key(|&(r, _)| r);
-            col.dedup_by(|a, b| {
-                if a.0 == b.0 {
-                    b.1 += a.1;
-                    true
-                } else {
-                    false
-                }
-            });
-            cols.push(col);
+            cols.push(merge_dups(col));
         }
         let mut lu = LuFactors::factorize(m, &cols).unwrap();
         let x_true: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -749,6 +1221,27 @@ mod tests {
         for (a, t) in b.iter().zip(x_true) {
             assert!((a - t).abs() < 1e-12, "{a} vs {t}");
         }
+
+        // Growth 3 → 512 → 512: once the first large factorization has
+        // grown every buffer (the candidate tree included), the second
+        // allocates nothing.
+        let m = 512;
+        let big = random_cols(&mut Rng(0x5EED_0512), m, m, 3, true);
+        let mut cnt3 = Counters::default();
+        lu.refactor_in_place(m, &big, &mut cnt3).unwrap();
+        assert!(cnt3.allocs > 0, "growing to 512 rows grows buffers");
+        let mut cnt4 = Counters::default();
+        lu.refactor_in_place(m, &big, &mut cnt4).unwrap();
+        assert_eq!(
+            cnt4.allocs, 0,
+            "steady-state refactor at 512 rows allocates nothing"
+        );
+        let x_true: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut b = dense_mul(m, &big, &x_true);
+        lu.ftran(&mut b);
+        for (a, t) in b.iter().zip(&x_true) {
+            assert!((a - t).abs() < 1e-9, "{a} vs {t}");
+        }
     }
 
     #[test]
@@ -760,7 +1253,7 @@ mod tests {
         ];
         let mut e = Elimination::default();
         let mut ws = ElimWs::default();
-        complete_basis_into(&mut e, &mut ws, 4, &cands, &mut Counters::default());
+        eliminate_into(&mut e, &mut ws, 4, &cands, &mut Counters::default());
         let (picked, rows) = (&e.pivoted_col, &e.pivoted_row);
         assert!(picked[0] ^ picked[1], "exactly one of the dependent pair");
         assert!(picked[2]);
