@@ -10,10 +10,17 @@
 //!   never exceed any link capacity at any event time, releases are
 //!   respected, and all demanded volume is delivered.
 
-use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};
+use coflow_core::circuit::lp_free::{
+    solve_free_paths_lp_paths, solve_free_paths_lp_paths_on_grid, FreePathsLpConfig,
+};
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig};
 use coflow_core::order::lp_order;
-use coflow_engine::{run, EngineConfig, EpochTrigger, Fifo, Greedy, LpOrder, WeightedFair};
+use coflow_core::IntervalGrid;
+use coflow_engine::{
+    run, EngineConfig, EpochPlan, EpochTrigger, EpochView, Fifo, Greedy, LpOrder, OnlinePolicy,
+    PolicyError, WeightedFair,
+};
+use coflow_lp::{ChainStats, SolveStats, WarmChain};
 use coflow_sim::fluid::{simulate, SimConfig};
 use coflow_workloads::gen::{generate, GenConfig};
 use proptest::prelude::*;
@@ -109,9 +116,11 @@ proptest! {
         }
     }
 
-    /// Warm-started epoch sequences reach the same realized objective as
-    /// cold ones (the basis reuse is a pure speed lever), while reusing
-    /// the previous basis in most epochs.
+    /// Warm-started epoch re-solves reach the optimum of each epoch's LP
+    /// that a cold solve reaches, while reusing the previous basis in most
+    /// epochs. The realized Σω·C of warm and cold runs is *not* compared:
+    /// an epoch LP with several optimal vertices may round to different
+    /// schedules depending on which vertex the pivots reach.
     #[test]
     fn warm_and_cold_lp_runs_agree(seed in 0u64..100) {
         let topo = coflow_net::topo::fat_tree(4, 1.0);
@@ -126,19 +135,78 @@ proptest! {
         });
         let mk = || (FreePathsLpConfig::default(), FreeRoundingConfig { seed, ..Default::default() });
         let (lc, rc) = mk();
-        let warm = run(&inst, &mut LpOrder::new(lc, rc), &EngineConfig::default());
+        let mut check = WarmColdCheck::new(LpOrder::new(lc.clone(), rc), lc);
+        let warm = run(&inst, &mut check, &EngineConfig::default());
+        prop_assert!(check.checked > 0, "no epoch LP was compared");
+        if let Some((w, c)) = check.mismatch {
+            prop_assert!(false, "epoch LP objective: warm {w} vs cold {c}");
+        }
         let (lc, rc) = mk();
         let cold = run(&inst, &mut LpOrder::cold(lc, rc), &EngineConfig::default());
-        prop_assert!(
-            (warm.metrics.weighted_sum - cold.metrics.weighted_sum).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.metrics.weighted_sum,
-            cold.metrics.weighted_sum
-        );
         prop_assert_eq!(cold.engine.warm_attempted, 0);
         if warm.engine.epochs > 1 {
             prop_assert!(warm.engine.warm_attempted > 0);
         }
+    }
+}
+
+/// [`LpOrder`] that also checks, at every plan call with live flows, that
+/// the epoch's residual LP solved through a warm chain (threaded across
+/// the plan calls, like `LpOrder::new`'s) and through a fresh chain reach
+/// the same objective to 1e-9 relative. The first disagreement is kept
+/// for the test to report.
+struct WarmColdCheck {
+    inner: LpOrder,
+    lp_cfg: FreePathsLpConfig,
+    chain: WarmChain,
+    checked: usize,
+    mismatch: Option<(f64, f64)>,
+}
+
+impl WarmColdCheck {
+    fn new(inner: LpOrder, lp_cfg: FreePathsLpConfig) -> Self {
+        Self {
+            inner,
+            lp_cfg,
+            chain: WarmChain::new(),
+            checked: 0,
+            mismatch: None,
+        }
+    }
+}
+
+impl OnlinePolicy for WarmColdCheck {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn plan(&mut self, view: &EpochView<'_>) -> Result<EpochPlan, PolicyError> {
+        let inst = &view.residual.instance;
+        if inst.flow_count() > 0 {
+            let grid = || IntervalGrid::cover(self.lp_cfg.eps, inst.horizon());
+            let warm =
+                solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid(), &mut self.chain)?;
+            let cold = solve_free_paths_lp_paths_on_grid(
+                inst,
+                &self.lp_cfg,
+                grid(),
+                &mut WarmChain::new(),
+            )?;
+            let (w, c) = (warm.base.objective, cold.base.objective);
+            if (w - c).abs() > 1e-9 * w.abs().max(c.abs()).max(1.0) && self.mismatch.is_none() {
+                self.mismatch = Some((w, c));
+            }
+            self.checked += 1;
+        }
+        self.inner.plan(view)
+    }
+
+    fn last_solve(&self) -> Option<SolveStats> {
+        self.inner.last_solve()
+    }
+
+    fn chain_stats(&self) -> Option<ChainStats> {
+        self.inner.chain_stats()
     }
 }
 

@@ -105,6 +105,11 @@ pub struct SolveStats {
     pub phase1_iterations: usize,
     /// Basis (re)factorizations performed, including the initial one.
     pub refactorizations: usize,
+    /// Fresh dual solves `y = B⁻ᵀ c_B` in the pivot loop: at each phase
+    /// start, after each refactorization, and before declaring optimality
+    /// on updated duals. Every other pivot updates the duals from the
+    /// pivot row instead, so this stays well below `iterations`.
+    pub dual_refreshes: usize,
     /// Nonzeros of the last basis factorization (L + U).
     pub factor_nnz: usize,
     /// Nonzeros of the basis matrix itself at the last factorization

@@ -80,6 +80,43 @@ pub struct Presolved {
 /// Tolerance for declaring an empty row inconsistent or bounds crossed.
 const ROW_TOL: f64 = 1e-7;
 
+/// Sparse `(index, coefficient)` lists grouped by a key, in compressed
+/// form: two flat arrays instead of one `Vec` per key.
+struct Adjacency {
+    /// Key `k`'s entries are `terms[ptr[k]..ptr[k + 1]]`.
+    ptr: Vec<usize>,
+    terms: Vec<(u32, f64)>,
+}
+
+impl Adjacency {
+    /// Groups `(key, index, coefficient)` entries under `keys` keys,
+    /// keeping each key's entries in input order.
+    fn group<I>(keys: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32, f64)> + Clone,
+    {
+        let mut ptr = vec![0usize; keys + 1];
+        for (k, _, _) in entries.clone() {
+            ptr[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            ptr[k + 1] += ptr[k];
+        }
+        let mut next = ptr[..keys].to_vec();
+        let mut terms = vec![(0u32, 0.0); ptr[keys]];
+        for (k, i, a) in entries {
+            let slot = &mut next[k as usize];
+            terms[*slot] = (i, a);
+            *slot += 1;
+        }
+        Self { ptr, terms }
+    }
+
+    fn of(&self, k: usize) -> &[(u32, f64)] {
+        &self.terms[self.ptr[k]..self.ptr[k + 1]]
+    }
+}
+
 /// Runs presolve; fails fast with [`LpError::Infeasible`] when a row reduces
 /// to an unsatisfiable constant relation or crosses a variable's bounds.
 pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
@@ -93,12 +130,8 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
     let mut obj_offset = 0.0;
 
     // Row supports and the transposed adjacency (var -> rows).
-    let mut row_terms: Vec<Vec<(u32, f64)>> = vec![Vec::new(); nr];
-    let mut var_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for &(r, c, a) in &m.triplets {
-        row_terms[r as usize].push((c, a));
-        var_rows[c as usize].push((r, a));
-    }
+    let row_terms = Adjacency::group(nr, m.triplets.iter().map(|&(r, c, a)| (r, c, a)));
+    let var_rows = Adjacency::group(n, m.triplets.iter().map(|&(r, c, a)| (c, r, a)));
 
     // Initially fixed variables (builder guarantees lb <= ub).
     for j in 0..n {
@@ -111,8 +144,8 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
 
     let mut rhs_adjust: Vec<f64> = m.rows.iter().map(|r| r.rhs).collect();
     let mut free_count = vec![0usize; nr];
-    for (r, terms) in row_terms.iter().enumerate() {
-        for &(c, a) in terms {
+    for r in 0..nr {
+        for &(c, a) in row_terms.of(r) {
             if fixed[c as usize] {
                 rhs_adjust[r] -= a * fixed_values[c as usize];
             } else {
@@ -141,7 +174,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             lb[j] = v;
             ub[j] = v;
             obj_offset += m.cols[j].cost * v;
-            for &(r, a) in &var_rows[j] {
+            for &(r, a) in var_rows.of(j) {
                 let r = r as usize;
                 if live[r] {
                     rhs_adjust[r] -= a * v;
@@ -178,7 +211,8 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             }
             1 => {
                 // Singleton row: a bound on its one free variable.
-                let &(c, a) = row_terms[r]
+                let &(c, a) = row_terms
+                    .of(r)
                     .iter()
                     .find(|&&(c, _)| !fixed[c as usize])
                     .ok_or_else(|| {
@@ -245,7 +279,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             continue;
         }
         let (mut lo, mut hi) = (0.0_f64, 0.0_f64);
-        for &(c, a) in &row_terms[r] {
+        for &(c, a) in row_terms.of(r) {
             let j = c as usize;
             if fixed[j] {
                 continue;

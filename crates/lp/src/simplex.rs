@@ -22,6 +22,13 @@
 //!   [`SolverOptions::threads`].
 //! * Phase 1 minimizes the sum of per-row artificials; phase 2 locks the
 //!   artificials to zero by setting their bounds to `[0,0]`.
+//! * **Duals are updated, not re-solved**, in the pivot loop: a basis
+//!   change reuses the devex pivot row `ρ = e_rᵀB⁻¹` for
+//!   `y' = y + (d_q/α_q)·ρ`, and a bound flip leaves `y` as it is, so a
+//!   pivot costs one FTRAN and one BTRAN. The duals are refreshed with a
+//!   BTRAN of `c_B` only at phase start, after a refactorization, after a
+//!   pivot too ill-conditioned for the devex row, and before optimality
+//!   is declared — a phase ends only on freshly solved duals.
 //! * **Warm starts**: a [`Basis`] snapshot from a related model is mapped
 //!   onto this one by variable name (slacks by row name or original row
 //!   index); the mapped basic set is completed to a full nonsingular basis
@@ -148,7 +155,9 @@ impl State {
         f.ftran(w);
     }
 
-    /// Duals `y = B⁻ᵀ c_B` via BTRAN.
+    /// Duals `y = B⁻ᵀ c_B` via BTRAN: the fresh solve at each refresh
+    /// point of [`run_phase`] (between them the pivot loop updates `y` from
+    /// the pivot row), and the final reported duals.
     fn duals(&self, f: &mut SparseLuFactor, costs: &[f64], y: &mut [f64]) {
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
@@ -444,6 +453,11 @@ fn run_phase(
     // Boundary between the two candidate-list generations: `cand[..gen_split]`
     // is the previous refill, `cand[gen_split..]` the most recent one.
     let mut gen_split = 0usize;
+    // Duals: `refresh_y` asks for a BTRAN of `c_B` at the top of the next
+    // pass; `y_updated` marks duals carried by pivot-row updates since the
+    // last such BTRAN, which may price but never declare optimality.
+    let mut refresh_y = true;
+    let mut y_updated = false;
 
     loop {
         if local_iters >= iter_cap {
@@ -467,7 +481,13 @@ fn run_phase(
                 return Ok(PhaseEnd::Truncated);
             }
         }
-        st.duals(f, costs, y);
+        if refresh_y {
+            st.duals(f, costs, y);
+            st.stats.dual_refreshes += 1;
+            rec.bump(ObsCounter::DualRefreshes, 1);
+            refresh_y = false;
+            y_updated = false;
+        }
         let t_scan = rec.lap(Accum::FtranBtran, t_dual);
 
         // --- Pricing: pick an entering variable (devex: maximize d²/γ;
@@ -646,6 +666,13 @@ fn run_phase(
         rec.lap(Accum::Pricing, t_scan);
         rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
         let Some(j_in) = enter else {
+            if y_updated {
+                // Drift in updated duals can hide an eligible column:
+                // price once more on exact duals (not a pivot).
+                refresh_y = true;
+                local_iters -= 1;
+                continue;
+            }
             return Ok(PhaseEnd::Optimal);
         };
         if !bland && scanned > window {
@@ -797,11 +824,17 @@ fn run_phase(
         // refill (which rescores everything it returns anyway), so the
         // update costs `O(nnz(list))` instead of `O(nnz(A))`. Untouched
         // columns keep slightly stale weights — devex is approximate by
-        // design.
+        // design. The same pivot row `ρ = e_rᵀB⁻¹` updates the duals:
+        // `y' = y + (d_q/α_q)·ρ` zeroes the entering reduced cost.
         let t_devex = rec.stamp();
         let alpha_q = w[r_lv];
         if alpha_q.abs() > 1e-12 {
             f.binv_row(r_lv, rho);
+            let theta = st.reduced_cost(j_in, costs, y) / alpha_q;
+            for (yr, &pr) in y.iter_mut().zip(rho.iter()) {
+                *yr += theta * pr;
+            }
+            y_updated = true;
             let gq = gamma[j_in].max(1.0);
             let ratio2 = gq / (alpha_q * alpha_q);
             let mut overflow = false;
@@ -828,6 +861,8 @@ fn run_phase(
             if overflow {
                 gamma.fill(1.0);
             }
+        } else {
+            refresh_y = true;
         }
         rec.lap(Accum::Pricing, t_devex);
 
@@ -879,12 +914,14 @@ fn run_phase(
                 st.since_refactor += 1;
                 if f.wants_refactor(st.since_refactor, opts) {
                     st.refactorize(f, tol, cnt, fx, rec)?;
+                    refresh_y = true;
                 }
             }
             Err(_) if st.since_refactor > 0 => {
                 // Stale factors produced an untrustworthy pivot: rebuild
                 // from scratch (the basis change is already recorded).
                 st.refactorize(f, tol, cnt, fx, rec)?;
+                refresh_y = true;
             }
             Err(e) => return Err(e),
         }

@@ -412,3 +412,145 @@ fn pathlike_lp_medium() {
         );
     }
 }
+
+/// SplitMix64 step: the seeded generator behind [`seeded_bounded_lp`].
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A feasible, bounded, degenerate LP with `n` variables and `m` rows:
+/// alternating `[0,1]` and `[0,∞)` variables (negative costs only on the
+/// `[0,1]` ones, so the optimum is finite and many of them flip to their
+/// upper bound), and Le/Ge/Eq rows of 2–5 distinct integer-weighted terms
+/// whose right-hand sides sit at, or within a few units of, the activity
+/// of an integral point `x0` — so `x0` is feasible and many rows are tight
+/// at it.
+fn seeded_bounded_lp(seed: u64, n: usize, m: usize) -> RandomLp {
+    let mut s = seed;
+    let mut pick = |k: u64| splitmix(&mut s) % k;
+    let ubs: Vec<Option<f64>> = (0..n).map(|j| (j % 2 == 0).then_some(1.0)).collect();
+    let costs: Vec<f64> = (0..n)
+        .map(|j| {
+            if ubs[j].is_some() {
+                pick(8) as f64 - 4.0
+            } else {
+                pick(5) as f64
+            }
+        })
+        .collect();
+    let x0: Vec<f64> = (0..n)
+        .map(|j| if ubs[j].is_some() { pick(2) } else { pick(4) / 2 } as f64)
+        .collect();
+    let rows = (0..m)
+        .map(|_| {
+            let mut terms: Vec<(usize, f64)> = Vec::new();
+            let k = 2 + pick(4) as usize;
+            while terms.len() < k {
+                let j = pick(n as u64) as usize;
+                if terms.iter().all(|&(t, _)| t != j) {
+                    let a = (1 + pick(3)) as f64;
+                    terms.push((j, if pick(3) == 0 { -a } else { a }));
+                }
+            }
+            let act: f64 = terms.iter().map(|&(j, a)| a * x0[j]).sum();
+            let slack = [0.0, 0.0, 1.0, 3.0][pick(4) as usize];
+            let code = [0u8, 0, 0, 0, 0, 1, 1, 1, 2, 2][pick(10) as usize];
+            let rhs = match code {
+                0 => act + slack,
+                1 => act - slack,
+                _ => act,
+            };
+            (code, rhs, terms)
+        })
+        .collect();
+    RandomLp {
+        n,
+        costs,
+        ubs,
+        rows,
+    }
+}
+
+/// Long-run dual correctness. Between fresh dual solves the pivot loop
+/// updates its duals from the pivot row, across refactorizations and bound
+/// flips; on LPs large enough for both, the returned point must still be
+/// optimal (objective equal to the dense reference) and the returned duals
+/// dual feasible — `d_j = c_j − Σ_r y_r a_rj` is ≥ 0 at a lower bound, ≤ 0
+/// at an upper bound and 0 strictly between, and each row's dual has the
+/// sign of its slack — and fresh dual solves must stay rare.
+#[test]
+fn long_run_duals_stay_dual_feasible() {
+    const TOL: f64 = 1e-7;
+    let mut long_runs = 0;
+    for seed in 0..6u64 {
+        let lp = seeded_bounded_lp(seed, 600, 260);
+        let model = build(&lp);
+        let sol = model.solve().expect("feasible and bounded by construction");
+        let reference = model.solve_dense_reference().expect("reference solves");
+        let scale = reference.objective.abs().max(1.0);
+        assert!(
+            (sol.objective - reference.objective).abs() <= TOL * scale,
+            "seed {seed}: objective {} vs reference {}",
+            sol.objective,
+            reference.objective
+        );
+        let mut d = lp.costs.clone();
+        for (r, (code, rhs, terms)) in lp.rows.iter().enumerate() {
+            let y = sol.duals[r];
+            let act: f64 = terms.iter().map(|&(j, a)| a * sol.values[j]).sum();
+            let tight = (act - rhs).abs() <= TOL * (1.0 + rhs.abs());
+            let ok = match code {
+                0 => y <= TOL && (tight || y.abs() <= TOL),
+                1 => y >= -TOL && (tight || y.abs() <= TOL),
+                _ => true,
+            };
+            assert!(
+                ok,
+                "seed {seed}: row {r} (cmp {code}) dual {y}, activity {act} vs {rhs}"
+            );
+            for &(j, a) in terms {
+                d[j] -= y * a;
+            }
+        }
+        for j in 0..lp.n {
+            let (x, ub) = (sol.values[j], lp.ubs[j].unwrap_or(f64::INFINITY));
+            let ok = if x <= TOL {
+                d[j] >= -TOL
+            } else if x >= ub - TOL {
+                d[j] <= TOL
+            } else {
+                d[j].abs() <= TOL
+            };
+            assert!(
+                ok,
+                "seed {seed}: x{j} = {x} in [0, {ub}] has reduced cost {}",
+                d[j]
+            );
+        }
+        // Duals that miss their pivot-row updates still end optimal (the
+        // loop re-prices on fresh duals before it stops) but price the
+        // wrong columns: these LPs then take thousands of pivots instead
+        // of ~300–400.
+        let st = &sol.stats;
+        assert!(
+            st.iterations < 3 * lp.rows.len(),
+            "seed {seed}: {} pivots for {} rows",
+            st.iterations,
+            lp.rows.len()
+        );
+        if st.iterations > 200 {
+            long_runs += 1;
+            assert!(
+                st.dual_refreshes * 4 < st.iterations,
+                "seed {seed}: {} fresh dual solves over {} pivots",
+                st.dual_refreshes,
+                st.iterations
+            );
+        }
+    }
+    assert!(long_runs > 0);
+}

@@ -211,6 +211,9 @@ pub enum Counter {
     Pivots,
     /// Basis refactorizations.
     Refactorizations,
+    /// Fresh dual solves `y = B⁻ᵀ c_B` in the simplex pivot loop (between
+    /// them the duals are updated from the pivot row).
+    DualRefreshes,
     /// Scratch buffers reacquired without allocating.
     ScratchReuses,
     /// Columns scored by pricing scans (full, windowed, or candidate-list).
@@ -237,12 +240,13 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 12;
 
     /// Every counter, in wire order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::Pivots,
         Counter::Refactorizations,
+        Counter::DualRefreshes,
         Counter::ScratchReuses,
         Counter::ColumnsPriced,
         Counter::OracleCalls,
@@ -259,6 +263,7 @@ impl Counter {
         match self {
             Counter::Pivots => "pivots",
             Counter::Refactorizations => "refactorizations",
+            Counter::DualRefreshes => "dual_refreshes",
             Counter::ScratchReuses => "scratch_reuses",
             Counter::ColumnsPriced => "columns_priced",
             Counter::OracleCalls => "oracle_calls",
